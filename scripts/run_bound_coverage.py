@@ -9,6 +9,7 @@ exceedance frequency should stay below beta.
 import argparse
 import json
 
+from ldptrack.baselines import ALGORITHMS, algo_tag
 from ldptrack.harness import ExperimentSpec, run_experiment
 
 
@@ -21,11 +22,12 @@ def main() -> None:
     parser.add_argument("--beta", type=float, default=0.1)
     parser.add_argument("--reps", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--algo", default="futurerand")
+    parser.add_argument("--algo", type=algo_tag, choices=ALGORITHMS,
+                        default="futurerand")
     args = parser.parse_args()
 
     spec = ExperimentSpec(n=args.n, d=args.d, k=args.k, eps=args.eps,
-                          beta=args.beta, algo=args.algo.replace("-", "_"),
+                          beta=args.beta, algo=args.algo,
                           reps=args.reps, seed=args.seed)
     metrics = run_experiment(spec)
     exceed = sum(e > metrics.bound for e in metrics.max_errs)

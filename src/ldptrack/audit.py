@@ -22,7 +22,7 @@ from .dyadic import DerivativeStream, DyadicInterval, derive, order_support, par
 from .errors import CapacityError
 from .randomizer import (DistributionTable, RandomizerConfig, distance_law,
                          exact_output_distribution, gap, gap_lower_bound_expr,
-                         sample_composed_batch)
+                         sample_composed_batch, _pack_signs, _unpack_signs)
 
 AUDIT_K = 12          # full input-pair enumeration bound
 CLIENT_AUDIT_D = 8    # client-level audit bounds
@@ -67,20 +67,13 @@ class AuditReport:
         }
 
 
-def _pack_mask(vec) -> int:
-    return sum(1 << i for i, x in enumerate(vec) if x == -1)
-
-
-def _unpack(mask: int, k: int) -> tuple[int, ...]:
-    return tuple(-1 if (mask >> i) & 1 else 1 for i in range(k))
-
-
 def audit_randomizer(cfg: RandomizerConfig,
                      inputs: Sequence | None = None) -> AuditReport:
     """Max probability ratio of the composed randomizer over input pairs.
 
-    Builds the exact output table for every input (each is validated to
-    unit mass), then scans all (input, input', output) triples through the
+    Every input's output table is a permutation of the same distance law,
+    so the law is checked once for unit mass, sum_i C(k, i) law[i] = 1;
+    then all (input, input', output) triples are scanned through the
     distance classes.  Defaults to all 2^k inputs.
     """
     k = cfg.k
@@ -89,12 +82,13 @@ def audit_randomizer(cfg: RandomizerConfig,
     if inputs is None:
         masks = np.arange(1 << k, dtype=np.uint32)
     else:
-        masks = np.array([_pack_mask(b) for b in inputs], dtype=np.uint32)
+        masks = np.array([_pack_signs(b, k) for b in inputs], dtype=np.uint32)
     if len(masks) == 0:
         raise ValueError("need at least one input")
-    for m in masks:
-        exact_output_distribution(_unpack(int(m), k), cfg)
     law = distance_law(cfg)
+    mass = sum((math.comb(k, i) * law[i] for i in range(k + 1)), mpf(0))
+    if abs(mass - 1) > mpf("1e-12"):
+        raise ArithmeticError(f"distance law mass {mass} deviates from 1")
     order = sorted(range(k + 1), key=lambda i: law[i])  # distances by ascending prob
     rank_of = np.empty(k + 1, dtype=np.int64)
     for r, i in enumerate(order):
@@ -117,9 +111,9 @@ def audit_randomizer(cfg: RandomizerConfig,
     row_hi = int(np.nonzero(ranks[:, s] == best[0])[0][0])
     row_lo = int(np.nonzero(ranks[:, s] == best[1])[0][0])
     worst = {
-        "input": list(_unpack(int(masks[row_hi]), k)),
-        "input_alt": list(_unpack(int(masks[row_lo]), k)),
-        "output": list(_unpack(s, k)),
+        "input": list(_unpack_signs(int(masks[row_hi]), k)),
+        "input_alt": list(_unpack_signs(int(masks[row_lo]), k)),
+        "output": list(_unpack_signs(s, k)),
     }
     return AuditReport.from_ratio(cfg.eps, best_ratio, worst)
 
@@ -181,15 +175,19 @@ def _client_distribution(alg: AlgorithmConfig, d: int,
     return probs
 
 
-def audit_client(d: int, k: int, eps: float,
-                 stream_a: DerivativeStream, stream_b: DerivativeStream,
-                 algorithm: str = "futurerand") -> AuditReport:
-    """Exact output-probability ratio of the full client on two streams."""
+def _client_algorithm(d: int, k: int, eps: float, algorithm: str) -> AlgorithmConfig:
     if d > CLIENT_AUDIT_D:
         raise CapacityError(f"d={d} above client audit bound {CLIENT_AUDIT_D}")
     if k > CLIENT_AUDIT_K:
         raise CapacityError(f"k={k} above client audit bound {CLIENT_AUDIT_K}")
-    alg = algorithm_config(algorithm, k, eps, L=d)
+    return algorithm_config(algorithm, k, eps, L=d)
+
+
+def audit_client(d: int, k: int, eps: float,
+                 stream_a: DerivativeStream, stream_b: DerivativeStream,
+                 algorithm: str = "futurerand") -> AuditReport:
+    """Exact output-probability ratio of the full client on two streams."""
+    alg = _client_algorithm(d, k, eps, algorithm)
     pa = _client_distribution(alg, d, stream_a)
     pb = _client_distribution(alg, d, stream_b)
     return _ratio_report(eps, pa, pb, stream_a, stream_b)
@@ -233,12 +231,8 @@ def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand"
     With ``pairs`` set, that many unordered pairs are drawn uniformly from
     the valid streams; otherwise every pair is checked.
     """
-    if d > CLIENT_AUDIT_D:
-        raise CapacityError(f"d={d} above client audit bound {CLIENT_AUDIT_D}")
-    if k > CLIENT_AUDIT_K:
-        raise CapacityError(f"k={k} above client audit bound {CLIENT_AUDIT_K}")
+    alg = _client_algorithm(d, k, eps, algorithm)
     streams = enumerate_streams(d, k)
-    alg = algorithm_config(algorithm, k, eps, L=d)
     dists = [_client_distribution(alg, d, s) for s in streams]
     if pairs is None:
         index_pairs = list(itertools.combinations(range(len(streams)), 2))

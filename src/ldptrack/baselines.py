@@ -27,6 +27,7 @@ __all__ = [
     "naive_config",
     "sample_one_config",
     "bns19_config",
+    "algo_tag",
     "algorithm_config",
     "make_client",
 ]
@@ -128,9 +129,14 @@ def bns19_config(k: int, eps: float, L: int | None = None) -> AlgorithmConfig:
     return AlgorithmConfig(tag="bns19", randomizer=rand, lam=lam)
 
 
+def algo_tag(text: str) -> str:
+    """Algorithm tag with either spelling accepted: "sample-one" is "sample_one"."""
+    return text.replace("-", "_")
+
+
 def algorithm_config(tag: str, k: int, eps: float,
                      L: int | None = None) -> AlgorithmConfig:
-    tag = tag.replace("-", "_")
+    tag = algo_tag(tag)
     builders = {
         "futurerand": futurerand_algorithm,
         "naive": naive_config,

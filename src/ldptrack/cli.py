@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import audit_client_sweep, audit_randomizer
-from .baselines import algorithm_config
+from .baselines import ALGORITHMS, algo_tag, algorithm_config
 from .errors import ConfigError
 from .harness import ExperimentSpec, run_experiment, scaling_study
 from .randomizer import gap_lower_bound_expr
@@ -23,7 +23,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_AUDIT = 3
 
-_ALGO_CHOICES = ("futurerand", "naive", "sample-one", "sample_one", "bns19")
+
+def _algo_list(text: str) -> list[str]:
+    return [algo_tag(a) for a in text.split(",") if a]
 
 
 def _int_list(text: str) -> list[int]:
@@ -44,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--k", type=int, required=True, help="max changes per user")
     sim.add_argument("--eps", type=float, required=True, help="privacy budget")
     sim.add_argument("--beta", type=float, default=0.1, help="failure probability")
-    sim.add_argument("--algo", choices=_ALGO_CHOICES, default="futurerand")
+    sim.add_argument("--algo", type=algo_tag, choices=ALGORITHMS, default="futurerand")
     sim.add_argument("--reps", type=int, default=1)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", type=str, default=None,
@@ -60,14 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     aud_r = aud_sub.add_parser("randomizer", help="enumerate the randomizer's outputs")
     aud_r.add_argument("--k", type=int, required=True)
     aud_r.add_argument("--eps", type=float, required=True)
-    aud_r.add_argument("--algo", choices=_ALGO_CHOICES, default="futurerand")
+    aud_r.add_argument("--algo", type=algo_tag, choices=ALGORITHMS, default="futurerand")
     aud_r.add_argument("--out", type=str, default=None)
 
     aud_c = aud_sub.add_parser("client", help="enumerate full client outputs")
     aud_c.add_argument("--d", type=int, required=True)
     aud_c.add_argument("--k", type=int, required=True)
     aud_c.add_argument("--eps", type=float, required=True)
-    aud_c.add_argument("--algo", choices=_ALGO_CHOICES, default="futurerand")
+    aud_c.add_argument("--algo", type=algo_tag, choices=ALGORITHMS, default="futurerand")
     aud_c.add_argument("--pairs", type=int, default=None,
                        help="random stream pairs to test (default: exhaustive)")
     aud_c.add_argument("--seed", type=int, default=0)
@@ -76,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("gap", help="print the exact preservation gap")
     gp.add_argument("--k", type=int, required=True)
     gp.add_argument("--eps", type=float, required=True)
-    gp.add_argument("--algo", choices=_ALGO_CHOICES, default="futurerand")
+    gp.add_argument("--algo", type=algo_tag, choices=ALGORITHMS, default="futurerand")
 
     sc = sub.add_parser("scaling", help="error-vs-k comparison across algorithms")
     sc.add_argument("--k-grid", type=_int_list, required=True,
@@ -87,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--beta", type=float, default=0.1)
     sc.add_argument("--reps", type=int, default=10)
     sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--algos", type=str, default="futurerand,sample-one",
+    sc.add_argument("--algos", type=_algo_list, default="futurerand,sample-one",
                     help="comma-separated algorithm tags")
     sc.add_argument("--out", type=str, default=None)
     return parser
@@ -103,7 +105,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(n=args.n, d=args.d, k=args.k, eps=args.eps,
-                          beta=args.beta, algo=args.algo.replace("-", "_"),
+                          beta=args.beta, algo=args.algo,
                           reps=args.reps, seed=args.seed, out=args.out,
                           change_model=args.change_model)
     dump = Path(args.dump_reports) if args.dump_reports else None
@@ -113,7 +115,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit_randomizer(args: argparse.Namespace) -> int:
-    alg = algorithm_config(args.algo.replace("-", "_"), args.k, args.eps)
+    alg = algorithm_config(args.algo, args.k, args.eps)
     report = audit_randomizer(alg.randomizer)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_AUDIT
@@ -122,14 +124,14 @@ def _cmd_audit_randomizer(args: argparse.Namespace) -> int:
 def _cmd_audit_client(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     report = audit_client_sweep(args.d, args.k, args.eps,
-                                algorithm=args.algo.replace("-", "_"),
+                                algorithm=args.algo,
                                 pairs=args.pairs, rng=rng)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_AUDIT
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    alg = algorithm_config(args.algo.replace("-", "_"), args.k, args.eps)
+    alg = algorithm_config(args.algo, args.k, args.eps)
     cfg = alg.randomizer
     lower = gap_lower_bound_expr(cfg)
     print(json.dumps({
@@ -149,8 +151,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 def _cmd_scaling(args: argparse.Namespace) -> int:
     base = ExperimentSpec(n=args.n, d=args.d, k=max(args.k_grid), eps=args.eps,
                           beta=args.beta, reps=args.reps, seed=args.seed)
-    algos = [a.replace("-", "_") for a in args.algos.split(",") if a]
-    study = scaling_study(base, args.k_grid, algos)
+    study = scaling_study(base, args.k_grid, args.algos)
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(json.dumps(study.to_json(), indent=2) + "\n")

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
 
 __all__ = [
     "DyadicInterval",
@@ -130,9 +129,6 @@ class TruthSeries:
         for t, c in enumerate(self.counts, start=1):
             if not 0 <= c <= self.n:
                 raise ValueError(f"count f({t})={c} outside [0, n={self.n}]")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.int64)
 
 
 def derive(boolean_series: Sequence[int], k: int | None = None) -> DerivativeStream:

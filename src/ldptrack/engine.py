@@ -1,8 +1,12 @@
 """Vectorized execution of the protocol for Monte-Carlo experiments.
 
-Behaves, draw for draw, like running one client per user through the
-online state machine, but batches the work by sampled order so that
-populations of 10^5 users over horizons of 10^3 steps run in seconds.
+Gives estimates with the same law as running one client per user through
+the online state machine, but batches the work by sampled order so that
+populations of 10^5 users over horizons of 10^3 steps run in seconds.  It
+does not consume randomness draw for draw as the per-user clients do: each
+purpose (population, orders, noise vectors, fair coins) has its own
+substream, shared by all users.  Its collected reports, replayed through
+the server, give bit-identical estimates.
 Randomness comes from counter-based Philox streams derived hierarchically
 from (master seed, repetition, purpose), so runs are bit-reproducible and
 repetitions could execute in parallel.
@@ -12,14 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .baselines import AlgorithmConfig
-from .dyadic import decompose
 from .errors import SparsityError
-from .protocol import ReportRecord, server_scale
+from .protocol import ReportRecord, readout, server_scale
 from .randomizer import sample_composed_batch
 
 # purpose tags for substream derivation
@@ -158,15 +160,6 @@ def _keep_one(counts: np.ndarray, times: np.ndarray, k: int,
     return new_counts, new_times, new_signs
 
 
-@lru_cache(maxsize=8)
-def _decomposition_table(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(order, index) pairs of the dyadic decomposition, per time step."""
-    return tuple(
-        tuple((iv.order, iv.index) for iv in decompose(t, d))
-        for t in range(1, d + 1)
-    )
-
-
 @dataclass
 class RepOutcome:
     truth: np.ndarray
@@ -253,10 +246,6 @@ def simulate_rep(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
                     reports.append(ReportRecord(user=u, h=h, t=(j + 1) << h,
                                                 bit=int(R[i, j])))
     scale = float(server_scale(d, alg.gap, alg.server_factor))
-    estimates = np.empty(d, dtype=np.float64)
-    for t_idx, parts in enumerate(_decomposition_table(d)):
-        total = 0
-        for h, j in parts:
-            total += int(sums[h][j - 1])
-        estimates[t_idx] = scale * total
+    estimates = np.fromiter((readout(scale, sums, t, d) for t in range(1, d + 1)),
+                            dtype=np.float64, count=d)
     return RepOutcome(truth=truth, estimates=estimates, reports=reports)

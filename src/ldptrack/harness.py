@@ -22,7 +22,7 @@ from .dyadic import DerivativeStream, TruthSeries, is_power_of_two
 from .engine import (CHANGE_MODELS, simulate_rep, sample_changes, substream,
                      truth_from_changes)
 from .protocol import (EstimateSeries, ReportRecord, client_step, server_init,
-                       server_register, server_step)
+                       server_register, server_scale, server_step)
 
 __all__ = [
     "ExperimentSpec",
@@ -68,10 +68,11 @@ class ExperimentSpec:
         return algorithm_config(self.algo, self.k, self.eps, L=self.d)
 
 
-def theoretical_bound(n: int, d: int, beta: float, gap_value: mpf) -> float:
-    """(1 + log2 d) * gap^-1 * sqrt(2 n ln(2d / beta)), the per-run error bound
-    that holds with probability at least 1 - beta."""
-    val = (mpf(d.bit_length()) / mpf(gap_value)
+def theoretical_bound(n: int, d: int, beta: float, alg: AlgorithmConfig) -> float:
+    """server_scale * sqrt(2 n ln(2d / beta)), the per-run error bound that
+    holds with probability at least 1 - beta; the scale is
+    (1 + log2 d) * server_factor / gap."""
+    val = (server_scale(d, alg.gap, alg.server_factor)
            * mp.sqrt(2 * n * mp.log(2 * d / mpf(beta))))
     return float(val)
 
@@ -198,7 +199,7 @@ def run_experiment(spec: ExperimentSpec,
     metrics = RunMetrics(
         spec=spec,
         gap=float(alg.gap),
-        bound=theoretical_bound(spec.n, spec.d, spec.beta, alg.gap),
+        bound=theoretical_bound(spec.n, spec.d, spec.beta, alg),
         regime_ok=regime_ok(spec.n, spec.d, spec.k, spec.eps, spec.beta),
         max_errs=tuple(max_errs),
         per_t_mean_abs_err=tuple(per_t / spec.reps),

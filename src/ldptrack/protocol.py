@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 from mpmath import mpf
 
-from .dyadic import DyadicInterval, decompose, is_power_of_two
+from .dyadic import _check_horizon, decompose
 from .errors import ProtocolError, SparsityError
 from .randomizer import RandomizerConfig, compose_randomize, futurerand_config
 
 __all__ = [
     "ClientState",
-    "ClientReport",
     "ServerState",
     "EstimateSeries",
     "ReportRecord",
@@ -34,6 +34,7 @@ __all__ = [
     "server_register",
     "server_step",
     "server_scale",
+    "readout",
     "write_reports",
     "read_reports",
 ]
@@ -60,31 +61,10 @@ class ClientState:
     filter_deltas: bool = False
 
 
-@dataclass(frozen=True)
-class ClientReport:
-    """Everything one user sends: the sampled order plus one bit per window."""
-
-    user: int
-    h: int
-    horizon: int
-    timed_bits: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        step = 1 << self.h
-        expected = [step * (j + 1) for j in range(self.horizon >> self.h)]
-        if [t for t, _ in self.timed_bits] != expected:
-            raise ValueError(
-                f"need one bit at each multiple of {step} up to {self.horizon}"
-            )
-        if any(b not in (-1, 1) for _, b in self.timed_bits):
-            raise ValueError("bits must be -1 or +1")
-
-
 def client_init(k: int, d: int, eps: float, rng: np.random.Generator,
                 cfg: RandomizerConfig | None = None) -> ClientState:
     """Sample the order uniformly and pre-draw the noise vector R~(1^k)."""
-    if not is_power_of_two(d):
-        raise ValueError(f"horizon d={d} must be a power of two")
+    _check_horizon(d)
     if cfg is None:
         cfg = futurerand_config(k, eps, L=max(d, k))
     if cfg.k != k:
@@ -134,23 +114,17 @@ def client_step(state: ClientState, t: int, delta: int) -> int | None:
 
 @dataclass
 class ServerState:
+    """Users bucketed by order, and per order the exact integer bit sum of
+    every closed window: ``sums[h][j - 1]`` for window j of order h."""
+
     d: int
     k: int
     eps: float
     scale: mpf
     buckets: dict[int, set[int]] = field(default_factory=dict)
     h_of: dict[int, int] = field(default_factory=dict)
-    bit_sums: dict[tuple[int, int], int] = field(default_factory=dict)
+    sums: list[np.ndarray] = field(default_factory=list)
     next_t: int = 1
-
-    @property
-    def sigma_hat(self) -> dict[DyadicInterval, float]:
-        """Scaled estimates of the population window sums seen so far."""
-        return {
-            DyadicInterval(order=h, index=j, horizon=self.d):
-                float(self.scale * s)
-            for (h, j), s in self.bit_sums.items()
-        }
 
 
 def server_scale(d: int, gap_value: mpf, extra_factor: int = 1) -> mpf:
@@ -158,13 +132,31 @@ def server_scale(d: int, gap_value: mpf, extra_factor: int = 1) -> mpf:
     return mpf(d.bit_length()) * extra_factor / mpf(gap_value)
 
 
+@lru_cache(maxsize=1 << 14)
+def _decomposition_pairs(t: int, d: int) -> tuple[tuple[int, int], ...]:
+    return tuple((iv.order, iv.index) for iv in decompose(t, d))
+
+
+def readout(scale: float | mpf, sums, t: int, d: int) -> float:
+    """Estimate of f(t) from per-order window sums.
+
+    ``float(scale)`` times the exact integer total of ``sums[h][j - 1]``
+    over the windows (h, j) of the dyadic decomposition of [1, t].
+    """
+    total = 0
+    for h, j in _decomposition_pairs(t, d):
+        total += int(sums[h][j - 1])
+    return float(scale) * total
+
+
 def server_init(d: int, k: int, eps: float, gap_value: mpf,
                 extra_factor: int = 1) -> ServerState:
-    if not is_power_of_two(d):
-        raise ValueError(f"horizon d={d} must be a power of two")
+    _check_horizon(d)
     scale = server_scale(d, gap_value, extra_factor)
-    buckets = {h: set() for h in range(d.bit_length())}
-    return ServerState(d=d, k=k, eps=eps, scale=scale, buckets=buckets)
+    orders = range(d.bit_length())
+    return ServerState(d=d, k=k, eps=eps, scale=scale,
+                       buckets={h: set() for h in orders},
+                       sums=[np.zeros(d >> h, dtype=np.int64) for h in orders])
 
 
 def server_register(state: ServerState, user: int, h: int) -> None:
@@ -186,31 +178,30 @@ def server_step(state: ServerState, t: int,
     """
     if t != state.next_t:
         raise ProtocolError(f"expected t={state.next_t}, got t={t}")
+    if t > state.d:
+        raise ProtocolError(f"t={t} outside [1, {state.d}]")
     state.next_t += 1
-    due = {u for u, h in state.h_of.items() if t % (1 << h) == 0}
+    due_orders = [h for h in state.buckets if t % (1 << h) == 0]
     seen: set[int] = set()
-    sums: dict[int, int] = {}
+    step_sums = [0] * len(state.buckets)
     for user, bit in reports:
-        if user not in state.h_of:
+        h = state.h_of.get(user)
+        if h is None:
             raise ProtocolError(f"report from unregistered user {user}")
-        if user not in due:
+        if t % (1 << h) != 0:
             raise ProtocolError(f"user {user} has no report due at t={t}")
         if user in seen:
             raise ProtocolError(f"duplicate report from user {user} at t={t}")
         if bit not in (-1, 1):
             raise ValueError(f"bit must be -1 or +1, got {bit}")
         seen.add(user)
-        sums[state.h_of[user]] = sums.get(state.h_of[user], 0) + bit
-    missing = due - seen
-    if missing:
+        step_sums[h] += bit
+    if len(seen) != sum(len(state.buckets[h]) for h in due_orders):
+        missing = set().union(*(state.buckets[h] for h in due_orders)) - seen
         raise ProtocolError(f"missing reports at t={t} from users {sorted(missing)}")
-    for h in range(state.d.bit_length()):
-        if t % (1 << h) == 0:
-            state.bit_sums[(h, t >> h)] = sums.get(h, 0)
-    total = 0
-    for iv in decompose(t, state.d):
-        total += state.bit_sums[(iv.order, iv.index)]
-    return float(state.scale * total)
+    for h in due_orders:
+        state.sums[h][(t >> h) - 1] = step_sums[h]
+    return readout(state.scale, state.sums, t, state.d)
 
 
 @dataclass(frozen=True)
@@ -218,9 +209,6 @@ class EstimateSeries:
     """Estimates f_hat(1..d) produced by a full server run."""
 
     estimates: tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.estimates, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

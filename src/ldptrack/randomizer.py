@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 from mpmath import mp, mpf
@@ -33,8 +32,6 @@ ENUMERATION_K = 20  # full 2^k output tables are built up to this k
 __all__ = [
     "RandomizerConfig",
     "DistributionTable",
-    "keep_probability",
-    "basic_rr",
     "annulus_bounds",
     "g_weight",
     "q_star",
@@ -49,26 +46,6 @@ __all__ = [
     "gap_lower_bound_expr",
     "exact_output_distribution",
 ]
-
-
-# ---------------------------------------------------------------------------
-# basic randomized response
-
-
-def keep_probability(eps_tilde: float) -> float:
-    """Probability e^x / (e^x + 1) of keeping a bit under randomized response."""
-    if eps_tilde < 0:
-        raise ValueError("per-bit budget must be >= 0")
-    # expm1-based form avoids overflow and keeps full float accuracy; the
-    # exact oracles recompute this quantity in extended precision anyway
-    return 1.0 - 1.0 / (2.0 + math.expm1(float(eps_tilde)))
-
-
-def basic_rr(bit: int, eps_tilde: float, rng: np.random.Generator) -> int:
-    """Return ``bit`` with probability e^eps_tilde / (e^eps_tilde + 1), else ``-bit``."""
-    if bit not in (-1, 1):
-        raise ValueError(f"bit must be -1 or +1, got {bit}")
-    return bit if rng.random() < keep_probability(eps_tilde) else -bit
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +160,11 @@ class RandomizerConfig:
 def _build_config(eps: float, k: int, L: int, eps_tilde: mpf,
                   lb: int, ub: int, ub_real: mpf) -> RandomizerConfig:
     p = _flip_probability(eps_tilde)
-    g_val = _gap_both_forms(k, lb, ub, p)[0]
+    simplified, two_sum = _gap_both_forms(k, lb, ub, p)
+    if abs(simplified - two_sum) > mpf("1e-12") * abs(simplified):
+        raise ArithmeticError(f"gap forms disagree: {simplified} vs {two_sum}")
     return RandomizerConfig(eps=eps, k=k, L=L, eps_tilde=eps_tilde, p=p,
-                            lb=lb, ub=ub, gap=g_val, ub_real=ub_real)
+                            lb=lb, ub=ub, gap=simplified, ub_real=ub_real)
 
 
 def futurerand_config(k: int, eps: float, L: int | None = None) -> RandomizerConfig:
@@ -237,14 +216,7 @@ def distance_law(cfg: RandomizerConfig) -> list[mpf]:
 def _gap_both_forms(k: int, lb: int, ub: int, p: mpf) -> tuple[mpf, mpf]:
     """The preservation gap via the single-sum and the two-sum expressions."""
     dists, weights = complement_distances(k, lb, ub)
-    qs = mpf(0)
-    if dists:
-        num = mpf(0)
-        den = 0
-        for i, c in zip(dists, weights):
-            num += c * g_weight(i, k, p)
-            den += c
-        qs = num / mpf(den)
+    qs = q_star(k, lb, ub, p) if dists else mpf(0)
     simplified = mpf(0)
     annulus_g_part = mpf(0)
     for i in range(lb, ub + 1):
@@ -262,15 +234,11 @@ def _gap_both_forms(k: int, lb: int, ub: int, p: mpf) -> tuple[mpf, mpf]:
 def gap(cfg: RandomizerConfig) -> mpf:
     """Exact per-coordinate gap P[output_i = b_i] - P[output_i = -b_i].
 
-    Evaluated through both algebraic forms, which must agree to 1e-12
-    relative; identical for every coordinate and every input.
+    Identical for every coordinate and every input; computed once when the
+    config is built, where its two algebraic forms must agree to 1e-12
+    relative.
     """
-    simplified, two_sum = _gap_both_forms(cfg.k, cfg.lb, cfg.ub, cfg.p)
-    if abs(simplified - two_sum) > mpf("1e-12") * abs(simplified):
-        raise ArithmeticError(
-            f"gap forms disagree: {simplified} vs {two_sum}"
-        )
-    return simplified
+    return cfg.gap
 
 
 def gap_lower_bound_expr(cfg: RandomizerConfig) -> mpf | None:
@@ -418,13 +386,16 @@ def sample_composed_batch(cfg: RandomizerConfig, n: int,
 # exact enumeration oracle
 
 
+def _pack_signs(b, k: int) -> int:
+    """Bit mask of a length-k sign vector: bit i is set where b[i] = -1."""
+    b = _as_sign_array(b)
+    if len(b) != k:
+        raise ValueError(f"expected length {k}, got {len(b)}")
+    return sum(1 << i for i in range(k) if b[i] == -1)
+
+
 def _unpack_signs(mask: int, k: int) -> tuple[int, ...]:
     return tuple(-1 if (mask >> i) & 1 else 1 for i in range(k))
-
-
-def all_sign_vectors(k: int) -> Iterator[tuple[int, ...]]:
-    for mask in range(1 << k):
-        yield _unpack_signs(mask, k)
 
 
 @dataclass
@@ -446,15 +417,6 @@ class DistributionTable:
             acc += pr if s[coord] == b_i else -pr
         return acc
 
-    def marginal_pattern_mass(self, pattern: tuple[int, ...]) -> mpf:
-        """Total mass of outputs whose first len(pattern) coordinates match."""
-        m = len(pattern)
-        acc = mpf(0)
-        for s, pr in self.probs.items():
-            if s[:m] == pattern:
-                acc += pr
-        return acc
-
 
 def exact_output_distribution(b, cfg: RandomizerConfig) -> DistributionTable:
     """Full 2^k table of output probabilities for input b; audit oracle.
@@ -462,19 +424,16 @@ def exact_output_distribution(b, cfg: RandomizerConfig) -> DistributionTable:
     Probability g(distance) inside the annulus, q* outside; sums to 1
     within 1e-12.
     """
-    b = _as_sign_array(b)
     k = cfg.k
-    if len(b) != k:
-        raise ValueError(f"expected length {k}, got {len(b)}")
+    b_mask = _pack_signs(b, k)
     if k > ENUMERATION_K:
         raise CapacityError(f"k={k} above enumeration bound {ENUMERATION_K}")
     law = distance_law(cfg)
-    b_mask = sum(1 << i for i in range(k) if b[i] == -1)
     probs = {}
     for mask in range(1 << k):
         dist = (mask ^ b_mask).bit_count()
         probs[_unpack_signs(mask, k)] = law[dist]
-    table = DistributionTable(k=k, input=tuple(int(x) for x in b), probs=probs)
+    table = DistributionTable(k=k, input=_unpack_signs(b_mask, k), probs=probs)
     if abs(table.total() - 1) > mpf("1e-12"):
         raise ArithmeticError(f"table mass {table.total()} deviates from 1")
     return table

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from ldptrack.engine import (sample_changes, simulate_rep, substream,
                              truth_from_changes)
 from ldptrack.harness import (ExperimentSpec, gen_population, regime_ok,
                               run_experiment, run_reference, scaling_study)
-from ldptrack.protocol import read_reports, server_scale
+from ldptrack.protocol import (read_reports, server_init, server_register,
+                               server_scale, server_step)
 
 
 def test_spec_validation():
@@ -124,6 +126,17 @@ def test_run_experiment_bound_field_matches_independent_recomputation():
     assert metrics.gap == float(gap_value)
 
 
+def test_sample_one_bound_coverage():
+    # the bound scales with the server's factor k; without it sample_one
+    # exceeds the bound in every repetition at this size
+    spec = ExperimentSpec(n=5000, d=16, k=8, eps=1.0, beta=0.1,
+                          algo="sample_one", reps=40, seed=0)
+    metrics = run_experiment(spec)
+    exceed = sum(e > metrics.bound for e in metrics.max_errs)
+    slack = 2.5758293035489004 * math.sqrt(spec.beta * (1 - spec.beta) / spec.reps)
+    assert exceed / spec.reps <= spec.beta + slack, exceed
+
+
 def test_regime_flag():
     assert regime_ok(n=10**5, d=1024, k=64, eps=1.0, beta=0.1)
     assert not regime_ok(n=100, d=1024, k=64, eps=1.0, beta=0.1)
@@ -205,6 +218,23 @@ def test_engine_matches_reference_distribution():
     se = np.sqrt(eng.var(ddof=1) / reps + ref.var(ddof=1) / reps)
     assert abs(eng.mean() - ref.mean()) < 4 * se
     assert 0.5 < eng.std(ddof=1) / ref.std(ddof=1) < 2.0
+
+
+@pytest.mark.parametrize("algo", ["futurerand", "naive", "sample_one"])
+def test_engine_estimates_equal_server_replay_of_its_reports(algo):
+    # the engine and the server share one readout, so replaying an engine
+    # repetition's own reports through the server gives identical floats
+    d = 512
+    alg = algorithm_config(algo, 16, 1.0, L=d)
+    out = simulate_rep(alg, 2000, d, seed=5, rep=0, collect_reports=True)
+    server = server_init(d, alg.k, alg.eps, alg.gap, alg.server_factor)
+    due = [[] for _ in range(d + 1)]
+    for rec in out.reports:
+        if rec.user not in server.h_of:
+            server_register(server, rec.user, rec.h)
+        due[rec.t].append((rec.user, rec.bit))
+    replayed = np.array([server_step(server, t, due[t]) for t in range(1, d + 1)])
+    assert np.array_equal(replayed, out.estimates)
 
 
 def test_reference_runner_deterministic_and_round_trip(tmp_path):

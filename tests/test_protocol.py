@@ -7,9 +7,9 @@ from mpmath import mpf
 from ldptrack.audit import chi_square
 from ldptrack.dyadic import derive
 from ldptrack.errors import ProtocolError, SparsityError
-from ldptrack.protocol import (ClientReport, ReportRecord, client_init,
-                               client_step, read_reports, server_init,
-                               server_register, server_step, write_reports)
+from ldptrack.protocol import (ReportRecord, client_init, client_step,
+                               read_reports, server_init, server_register,
+                               server_step, write_reports)
 from ldptrack.randomizer import futurerand_config
 
 
@@ -105,16 +105,6 @@ def test_client_step_rejects_invalid_window_sum():
         client_step(state, 2, 1)  # prefix sums 1,2 are not a Boolean series
 
 
-def test_client_report_shape_validation():
-    ClientReport(user=0, h=1, horizon=4, timed_bits=((2, 1), (4, -1)))
-    with pytest.raises(ValueError):
-        ClientReport(user=0, h=1, horizon=4, timed_bits=((2, 1),))
-    with pytest.raises(ValueError):
-        ClientReport(user=0, h=1, horizon=4, timed_bits=((1, 1), (4, -1)))
-    with pytest.raises(ValueError):
-        ClientReport(user=0, h=1, horizon=4, timed_bits=((2, 0), (4, -1)))
-
-
 # ---------------------------------------------------------------------------
 # server
 
@@ -140,10 +130,7 @@ def test_server_step_scripted_hand_values():
     assert server_step(server, 2, [(0, -1), (1, 1)]) == pytest.approx(3.0)
     assert server_step(server, 3, [(0, 1)]) == pytest.approx(6.0)
     assert server_step(server, 4, [(0, 1), (1, -1), (2, 1)]) == pytest.approx(3.0)
-    sigma = {(iv.order, iv.index): v for iv, v in server.sigma_hat.items()}
-    assert sigma[(0, 3)] == pytest.approx(3.0)
-    assert sigma[(1, 2)] == pytest.approx(-3.0)
-    assert sigma[(2, 1)] == pytest.approx(3.0)
+    assert [s.tolist() for s in server.sums] == [[1, -1, 1, 1], [1, -1], [1]]
 
 
 def test_server_step_validates_reports():
@@ -163,6 +150,17 @@ def test_server_step_validates_reports():
     server = server_init(4, 2, 1.0, mpf(1))
     with pytest.raises(ProtocolError):
         server_step(server, 1, [(5, 1)])  # unregistered
+    server = server_init(4, 2, 1.0, mpf(1))
+    server_register(server, 0, 0)
+    server_register(server, 1, 1)
+    server_step(server, 1, [(0, 1)])
+    with pytest.raises(ProtocolError):
+        server_step(server, 2, [(0, 1)])  # order-1 user missing at t=2
+    server = server_init(2, 2, 1.0, mpf(1))
+    server_step(server, 1, [])
+    server_step(server, 2, [])
+    with pytest.raises(ProtocolError):
+        server_step(server, 3, [])  # past the horizon
 
 
 def test_identity_channel_round():

@@ -6,44 +6,15 @@ from mpmath import mp, mpf
 
 from ldptrack.audit import chi_square
 from ldptrack.errors import CapacityError, ConfigError
-from ldptrack.randomizer import (RandomizerConfig, annulus_bounds, basic_rr,
+from ldptrack.randomizer import (RandomizerConfig, annulus_bounds,
                                  complement_distances, compose_randomize,
                                  exact_output_distribution, futurerand_config,
                                  g_weight, gap, gap_lower_bound_expr,
-                                 keep_probability, q_star, rr_config,
+                                 q_star, rr_config,
                                  sample_composed_batch, sample_outside_annulus,
                                  _build_config, _gap_both_forms)
 
 ONES = lambda k: np.ones(k, dtype=np.int8)
-
-
-# ---------------------------------------------------------------------------
-# basic randomized response
-
-
-def test_keep_probability_symmetric_case():
-    assert keep_probability(0.0) == 0.5
-
-
-def test_basic_rr_large_budget_never_flips():
-    rng = np.random.default_rng(0)
-    assert all(basic_rr(1, 50.0, rng) == 1 for _ in range(10_000))
-
-
-def test_basic_rr_empirical_keep_frequency():
-    # keep frequency over 10^6 draws within 4 sigma of e^0.1 / (e^0.1 + 1)
-    rng = np.random.default_rng(7)
-    eps_tilde = 0.1
-    n = 1_000_000
-    kept = sum(basic_rr(-1, eps_tilde, rng) == -1 for _ in range(n))
-    expected = float(mp.exp(mpf("0.1")) / (mp.exp(mpf("0.1")) + 1))
-    sigma = math.sqrt(expected * (1 - expected) / n)
-    assert abs(kept / n - expected) < 4 * sigma
-
-
-def test_basic_rr_validates_bit():
-    with pytest.raises(ValueError):
-        basic_rr(0, 0.1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
