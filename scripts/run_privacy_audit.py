@@ -12,7 +12,8 @@ import sys
 import numpy as np
 
 from ldptrack.audit import audit_client_sweep, audit_randomizer
-from ldptrack.baselines import ALGORITHMS, algo_tag, algorithm_config
+from ldptrack.baselines import (ALGORITHMS, algo_tag, algorithm_config,
+                                client_randomizer)
 
 
 def main() -> int:
@@ -29,7 +30,7 @@ def main() -> int:
     for k in range(2, args.k_max + 1):
         for eps in args.eps:
             alg = algorithm_config(args.algo, k, eps)
-            report = audit_randomizer(alg.randomizer)
+            report = audit_randomizer(client_randomizer(alg))
             status = "ok" if report.passed else "FAIL"
             print(f"randomizer k={k:3d} eps={eps:5.2f}: "
                   f"max_ratio={float(report.max_ratio):.6f} {status}")

@@ -29,6 +29,7 @@ __all__ = [
     "bns19_config",
     "algo_tag",
     "algorithm_config",
+    "client_randomizer",
     "make_client",
 ]
 
@@ -146,6 +147,21 @@ def algorithm_config(tag: str, k: int, eps: float,
     if tag not in builders:
         raise ConfigError(f"unknown algorithm {tag!r}; choose from {ALGORITHMS}")
     return builders[tag](k, eps, L)
+
+
+def client_randomizer(alg: AlgorithmConfig) -> RandomizerConfig:
+    """The randomizer a client of this algorithm actually applies.
+
+    A keep-one client reports at most one non-zero window sum, through
+    coordinate 0 of its noise vector, so what it applies is randomized
+    response on one coordinate at the per-coordinate budget; it is audited
+    against the algorithm's end-to-end eps.  Other clients use every
+    coordinate of the algorithm's randomizer.
+    """
+    cfg = alg.randomizer
+    if not alg.keep_one:
+        return cfg
+    return rr_config(1, cfg.eps_tilde, eps=cfg.eps, L=cfg.L)
 
 
 def make_client(alg: AlgorithmConfig, d: int, rng: np.random.Generator,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import audit_client_sweep, audit_randomizer
-from .baselines import ALGORITHMS, algo_tag, algorithm_config
+from .baselines import ALGORITHMS, algo_tag, algorithm_config, client_randomizer
 from .errors import ConfigError
 from .harness import ExperimentSpec, run_experiment, scaling_study
 from .randomizer import gap_lower_bound_expr
@@ -116,7 +116,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_audit_randomizer(args: argparse.Namespace) -> int:
     alg = algorithm_config(args.algo, args.k, args.eps)
-    report = audit_randomizer(alg.randomizer)
+    report = audit_randomizer(client_randomizer(alg))
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_AUDIT
 

@@ -1,21 +1,22 @@
 """Vectorized execution of the protocol for Monte-Carlo experiments.
 
-Gives estimates with the same law as running one client per user through
-the online state machine, but batches the work by sampled order so that
-populations of 10^5 users over horizons of 10^3 steps run in seconds.  It
-does not consume randomness draw for draw as the per-user clients do: each
-purpose (population, orders, noise vectors, fair coins) has its own
-substream, shared by all users.  Its collected reports, replayed through
-the server, give bit-identical estimates.
-Randomness comes from counter-based Philox streams derived hierarchically
-from (master seed, repetition, purpose), so runs are bit-reproducible and
-repetitions could execute in parallel.
+Gives estimates with the same law as one client per user driven through
+the online state machine, in O(n k) work: a user with at most k changes
+has at most k non-zero window sums, and the engine works from change
+events.  Users run in shards of ``SHARD``, each with Philox substreams
+keyed by (seed, repetition, purpose, shard), so runs are bit-reproducible
+and peak memory does not grow with n.  The z fair coins of a window's
+zero-sum users are summed as 2 Binomial(z, 1/2) - z, the same law.  Only
+``collect_reports`` draws every user's bit, coins included, and sums those
+same bits, so that replaying the reports through the server gives
+bit-identical estimates.  The two modes draw differently for one seed, and
+neither in the order the per-user clients do.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +31,9 @@ PURPOSE_KEEP = 1
 PURPOSE_ORDERS = 2
 PURPOSE_NOISE = 3
 PURPOSE_BITS = 4
+
+# users per shard: bounds the working set of one repetition
+SHARD = 1 << 15
 
 CHANGE_MODELS = ("uniform", "exactly_k", "bursty")
 
@@ -50,56 +54,50 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     )
 
 
-def _fill_by_rejection(rng: np.random.Generator, times: np.ndarray,
-                       rows: np.ndarray, counts: np.ndarray, d: int) -> None:
-    """Uniform distinct sorted times for rows with few changes.
+def _uniform_subsets(rng: np.random.Generator, counts: np.ndarray, d: int,
+                     width: int) -> np.ndarray:
+    """Row u: counts[u] distinct uniform values of [1, d], sorted, then zeros.
 
-    Draws whole rows with replacement and redraws any row containing a
-    duplicate, which is exact; callers only send rows whose change count
-    keeps the collision rate small.
+    Draws with replacement, sorts and redraws the duplicate slots until none
+    are left.  The result is the set of distinct values of an i.i.d.
+    sequence stopped by a rule no relabelling of [1, d] changes, so it is
+    uniform over subsets of its size.  Rows with more than d/2 values draw
+    their complement, so a slot collides with probability below 1/2.
     """
-    if rows.size == 0:
-        return
-    width = int(counts[rows].max())
-    sentinels = d + 1 + np.arange(width, dtype=np.int64)
-    col = np.arange(width)[None, :]
-    pending = rows
-    while pending.size:
-        m = pending.size
-        draw = rng.integers(1, d + 1, size=(m, width), dtype=np.int64)
-        invalid = col >= counts[pending, None]
-        draw = np.where(invalid, np.broadcast_to(sentinels, (m, width)), draw)
-        draw.sort(axis=1)
-        dup = (draw[:, 1:] == draw[:, :-1]).any(axis=1)
-        ok = ~dup
-        accepted = draw[ok]
-        accepted[accepted > d] = 0
-        times[pending[ok], :width] = accepted
-        pending = pending[dup]
-
-
-def _fill_by_permutation(rng: np.random.Generator, times: np.ndarray,
-                         rows: np.ndarray, counts: np.ndarray, d: int, k: int,
-                         chunk: int) -> None:
-    """Uniform distinct sorted times via batched row permutations."""
-    base = np.arange(1, d + 1, dtype=np.int16 if d < (1 << 15) else np.int32)
-    col = np.arange(k)[None, :]
-    for lo in range(0, rows.size, chunk):
-        sl = rows[lo:lo + chunk]
-        m = sl.size
-        grid = np.repeat(base[None, :], m, axis=0)
-        rng.permuted(grid, axis=1, out=grid)
-        sel = grid[:, :k].astype(np.int64)
-        masked = np.where(col < counts[sl, None], sel, d + 1)
-        masked.sort(axis=1)
-        masked[masked == d + 1] = 0
-        times[sl] = masked
+    flip = 2 * counts > d
+    drawn = np.where(flip, d - counts, counts).astype(np.int32)
+    w = max(1, min(width, d // 2))
+    col = np.arange(w, dtype=np.int32)
+    # distinct sentinels above d fill the unused slots and sort last
+    out = rng.integers(1, d + 1, size=(len(counts), w), dtype=np.int32)
+    np.copyto(out, d + 1 + col, where=col >= drawn[:, None])
+    out.sort(axis=1)
+    pending, block = np.arange(len(counts)), out
+    while True:
+        dup = block[:, 1:] == block[:, :-1]
+        again = np.flatnonzero(dup.any(axis=1))
+        if not again.size:
+            break
+        pending, block, dup = pending[again], block[again], dup[again]
+        block[:, 1:][dup] = rng.integers(1, d + 1, size=int(dup.sum()), dtype=np.int32)
+        block.sort(axis=1)
+        out[pending] = block
+    out *= out <= d  # sentinels become the zero padding
+    times = out if w == width else np.pad(out, ((0, 0), (0, width - w)))
+    # a flipped row drew its complement: it takes every value it did not draw
+    rows = np.flatnonzero(flip)
+    chosen = np.ones((rows.size, d + 1), dtype=bool)
+    np.put_along_axis(chosen, out[rows], False, axis=1)
+    block = np.zeros((rows.size, width), dtype=np.int32)
+    block[np.arange(width) < counts[rows, None]] = np.broadcast_to(
+        np.arange(1, d + 1, dtype=np.int32), (rows.size, d))[chosen[:, 1:]]
+    times[rows] = block
+    return times
 
 
 def sample_changes(n: int, d: int, k: int, model: str,
-                   rng: np.random.Generator,
-                   chunk: int = 16384) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user change times: counts[u] sorted times in times[u, :counts[u]].
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Change counts, and per user a row of its sorted int32 change times, zero-padded.
 
     "uniform" draws counts from Uniform{0..k} and times uniformly without
     replacement; "exactly_k" fixes counts at k; "bursty" places a uniform
@@ -111,23 +109,12 @@ def sample_changes(n: int, d: int, k: int, model: str,
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
     counts = (np.full(n, k, dtype=np.int64) if model == "exactly_k"
               else rng.integers(0, k + 1, size=n))
-    times = np.zeros((n, max(k, 1)), dtype=np.int64)
-    if k == 0:
-        return counts, times
+    width = max(k, 1)
     if model == "bursty":
-        starts = rng.integers(1, d - counts + 2)
-        cols = np.arange(k)[None, :]
-        grid = starts[:, None] + cols
-        times = np.where(cols < counts[:, None], grid, 0)
-        return counts, times
-    # sparse rows go through cheap whole-row rejection, dense rows through
-    # per-row permutations; both are exactly uniform without replacement.
-    # c* caps the expected redraws per row at e^(c^2 / 2d) <= ~4
-    c_star = max(1, int(1.66 * math.sqrt(d)))
-    sparse = counts <= c_star
-    _fill_by_rejection(rng, times, np.nonzero(sparse & (counts > 0))[0], counts, d)
-    _fill_by_permutation(rng, times, np.nonzero(~sparse)[0], counts, d, k, chunk)
-    return counts, times
+        cols = np.arange(width, dtype=np.int32)
+        starts = rng.integers(1, d - counts + 2).astype(np.int32)[:, None]
+        return counts, np.where(cols < counts[:, None], starts + cols, 0)
+    return counts, _uniform_subsets(rng, counts, d, width)
 
 
 def truth_from_changes(counts: np.ndarray, times: np.ndarray, d: int) -> np.ndarray:
@@ -142,22 +129,52 @@ def truth_from_changes(counts: np.ndarray, times: np.ndarray, d: int) -> np.ndar
 
 
 def _keep_one(counts: np.ndarray, times: np.ndarray, k: int,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample-one transform: keep the change in a uniform slot out of k, if any.
 
-    The kept derivative entry retains its original value: the change in an
-    even slot (0-based) flipped 0 -> 1, an odd slot flipped back.
+    Returns the kept times and the level after each: the change in an even
+    slot (0-based) flipped 0 -> 1 and keeps +1, an odd slot's keeps -1.
     """
-    n = len(counts)
-    slots = rng.integers(0, k, size=n)
-    has = slots < counts
-    new_counts = has.astype(np.int64)
+    slots = rng.integers(0, k, size=len(counts))
+    kept = np.flatnonzero(slots < counts)
     new_times = np.zeros_like(times)
-    new_signs = np.zeros_like(times, dtype=np.int8)
-    idx = np.nonzero(has)[0]
-    new_times[idx, 0] = times[idx, slots[idx]]
-    new_signs[idx, 0] = np.where(slots[idx] % 2 == 0, 1, -1)
-    return new_counts, new_times, new_signs
+    levels = np.zeros_like(times, dtype=np.int8)
+    new_times[kept, 0] = times[kept, slots[kept]]
+    levels[kept, 0] = np.where(slots[kept] % 2 == 0, 1, -1)
+    return new_times, levels
+
+
+def _nonzero_windows(times: np.ndarray, levels: np.ndarray, h_u: np.ndarray,
+                     k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every non-zero window sum of a shard, from its change events.
+
+    ``times`` is zero-padded as ``sample_changes`` returns it; ``levels[u, c]``
+    is user u's derivative prefix sum just after change c.  A window's sum is
+    the level after its last change minus the level after the user's
+    previous window.  Returns (user, window index from 0, sum, rank among the
+    user's non-zero windows), ordered by user then window.
+    """
+    n, width = times.shape
+    window = times - 1
+    np.right_shift(window, h_u[:, None], out=window)
+    # the last change of each window: the next one is in a later window or absent
+    last = times > 0
+    last[:, :-1] &= window[:, 1:] != window[:, :-1]
+    ends = np.flatnonzero(last)
+    user = ends // width
+    level = levels.ravel()[ends].astype(np.int8)
+    value = np.diff(level, prepend=0)
+    first = np.flatnonzero(user[1:] != user[:-1]) + 1  # a user's first window
+    value[first] = level[first]
+    nz = np.flatnonzero(value)
+    ends, user, value = ends[nz], user[nz], value[nz]
+    per_user = np.bincount(user, minlength=n)
+    if per_user.max(initial=0) > k:
+        u = per_user.argmax()
+        raise SparsityError(f"a stream produced {per_user[u]} > k={k} non-zero window "
+                            f"sums at order {h_u[u]}: population generation is broken")
+    rank = np.arange(user.size) - (np.cumsum(per_user) - per_user)[user]
+    return user, window.ravel()[ends], value, rank
 
 
 @dataclass
@@ -176,76 +193,58 @@ def simulate_rep(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
                  collect_reports: bool = False) -> RepOutcome:
     """One repetition: fresh population, all clients, server aggregation."""
     k = alg.k
-    counts, times = sample_changes(n, d, k, change_model,
-                                   substream(seed, rep, PURPOSE_POPULATION))
-    truth = truth_from_changes(counts, times, d)
-    # derivative entry values: changes alternate +1, -1 starting from 0
-    signs = np.broadcast_to(
-        np.where(np.arange(times.shape[1]) % 2 == 0, 1, -1).astype(np.int8),
-        times.shape,
-    )
-    if alg.keep_one:
-        counts, times, signs = _keep_one(counts, times, k,
-                                         substream(seed, rep, PURPOSE_KEEP))
     num_orders = d.bit_length()
-    h_u = substream(seed, rep, PURPOSE_ORDERS).integers(0, num_orders, size=n)
-    if alg.randomizer.annulus_full:
-        # the pre-drawn noise vector is coordinate-wise independent RR, so
-        # consuming its next entry is the same law as a fresh draw per window
-        btilde = None
-        keep_p = float(1 - alg.randomizer.p)
-    else:
-        btilde = sample_composed_batch(alg.randomizer, n,
-                                       substream(seed, rep, PURPOSE_NOISE))
-    rng_bits = substream(seed, rep, PURPOSE_BITS)
-    reports: list[ReportRecord] | None = [] if collect_reports else None
-    sums: dict[int, np.ndarray] = {}
-    kcols = times.shape[1]
-    for h in range(num_orders):
-        rows = np.nonzero(h_u == h)[0]
-        L = d >> h
-        m = len(rows)
-        if m == 0:
-            sums[h] = np.zeros(L, dtype=np.int64)
+    # window j (from 0) of order h sits at flat index offset[h] + j
+    offset = np.cumsum([0] + [d >> h for h in range(num_orders)])
+    truth = np.zeros(d, dtype=np.int64)
+    sums = np.zeros(offset[-1], dtype=np.int64)
+    zeros = np.zeros(offset[-1], dtype=np.int64)  # zero-sum users, coins not drawn yet
+    records: list[list[ReportRecord]] = [[] for _ in range(num_orders)]
+    for shard, lo in enumerate(range(0, n, SHARD)):
+        m = min(SHARD, n - lo)
+        counts, times = sample_changes(
+            m, d, k, change_model, substream(seed, rep, PURPOSE_POPULATION, shard))
+        truth += truth_from_changes(counts, times, d)
+        # every change flips the Boolean value, which starts at 0
+        levels = np.broadcast_to(np.arange(times.shape[1]) % 2 == 0, times.shape)
+        if alg.keep_one:
+            times, levels = _keep_one(counts, times, k,
+                                      substream(seed, rep, PURPOSE_KEEP, shard))
+        h_u = substream(seed, rep, PURPOSE_ORDERS, shard).integers(
+            0, num_orders, size=m).astype(np.int32)
+        user, window, value, rank = _nonzero_windows(times, levels, h_u, k)
+        rng_noise = substream(seed, rep, PURPOSE_NOISE, shard)
+        if alg.randomizer.annulus_full:
+            # the pre-drawn noise vector is coordinate-wise independent RR, so
+            # consuming its next entry is the same law as a fresh draw per window
+            keep = rng_noise.random(user.size) < float(1 - alg.randomizer.p)
+            noise = np.where(keep, 1, -1).astype(np.int8)
+        else:
+            noise = sample_composed_batch(alg.randomizer, m, rng_noise)[user, rank]
+        bits = value * noise
+        h_nz = h_u[user]
+        flat = offset[h_nz] + window
+        if not collect_reports:
+            sums += np.bincount(flat, weights=bits, minlength=offset[-1]).astype(np.int64)
+            zeros += (np.repeat(np.bincount(h_u, minlength=num_orders), np.diff(offset))
+                      - np.bincount(flat, minlength=offset[-1]))
             continue
-        R = (rng_bits.integers(0, 2, size=(m, L), dtype=np.int8) * 2 - 1).astype(np.int8)
-        c_rows = counts[rows]
-        if c_rows.max(initial=0) > 0:
-            t_rows = times[rows]
-            col = np.arange(kcols)[None, :]
-            valid = col < c_rows[:, None]
-            windows = (t_rows - 1) >> h
-            keys = (np.arange(m)[:, None] * L + windows)[valid]
-            vals = signs[rows][valid]
-            # window sums of the derivative; in {-1, 0, +1} for valid streams
-            sig = np.bincount(keys, weights=vals, minlength=m * L)
-            sig = sig.reshape(m, L).astype(np.int8)
-            rr, cc = np.nonzero(sig)
-            if rr.size:
-                nnz_rows = np.bincount(rr, minlength=m)
-                if nnz_rows.max(initial=0) > k:
-                    raise SparsityError(
-                        f"a stream produced {int(nnz_rows.max())} > k={k} non-zero "
-                        f"window sums at order {h}: population generation is broken"
-                    )
-                if btilde is not None:
-                    # rank of each non-zero within its row; np.nonzero is
-                    # row-major so rows form contiguous runs
-                    row_starts = np.zeros(m, dtype=np.int64)
-                    np.cumsum(nnz_rows[:-1], out=row_starts[1:])
-                    ranks = np.arange(rr.size) - row_starts[rr]
-                    noise = btilde[rows[rr], ranks]
-                else:
-                    noise = ((rng_bits.random(rr.size) < keep_p).astype(np.int8) * 2 - 1)
-                R[rr, cc] = sig[rr, cc] * noise
-        sums[h] = R.sum(axis=0, dtype=np.int64)
-        if collect_reports:
-            for i in range(m):
-                u = int(rows[i])
-                for j in range(L):
-                    reports.append(ReportRecord(user=u, h=h, t=(j + 1) << h,
-                                                bit=int(R[i, j])))
+        rng_bits = substream(seed, rep, PURPOSE_BITS, shard)
+        for h in range(num_orders):
+            rows = np.flatnonzero(h_u == h)
+            L = d >> h
+            R = rng_bits.integers(0, 2, size=(rows.size, L), dtype=np.int8) * 2 - 1
+            at = h_nz == h
+            R[np.searchsorted(rows, user[at]), window[at]] = bits[at]
+            sums[offset[h]:offset[h + 1]] += R.sum(axis=0, dtype=np.int64)
+            records[h] += map(ReportRecord, np.repeat(rows + lo, L).tolist(), [h] * R.size,
+                              np.tile(np.arange(1, L + 1) << h, rows.size).tolist(),
+                              R.ravel().tolist())
+    # the zero-sum users' coins as 2 Binomial(z, 1/2) - z (none left when collecting)
+    sums += 2 * substream(seed, rep, PURPOSE_BITS).binomial(zeros, 0.5) - zeros
+    per_order = [sums[offset[h]:offset[h + 1]] for h in range(num_orders)]
     scale = float(server_scale(d, alg.gap, alg.server_factor))
-    estimates = np.fromiter((readout(scale, sums, t, d) for t in range(1, d + 1)),
+    estimates = np.fromiter((readout(scale, per_order, t, d) for t in range(1, d + 1)),
                             dtype=np.float64, count=d)
+    reports = list(chain.from_iterable(records)) if collect_reports else None
     return RepOutcome(truth=truth, estimates=estimates, reports=reports)

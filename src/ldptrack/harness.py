@@ -22,7 +22,8 @@ from .dyadic import DerivativeStream, TruthSeries, is_power_of_two
 from .engine import (CHANGE_MODELS, simulate_rep, sample_changes, substream,
                      truth_from_changes)
 from .protocol import (EstimateSeries, ReportRecord, client_step, server_init,
-                       server_register, server_scale, server_step)
+                       server_register, server_scale, server_step,
+                       write_reports)
 
 __all__ = [
     "ExperimentSpec",
@@ -194,8 +195,7 @@ def run_experiment(spec: ExperimentSpec,
             if collect:
                 dump_reports_to.parent.mkdir(parents=True, exist_ok=True)
                 with dump_reports_to.open("w") as fp:
-                    for rec in outcome.reports:
-                        fp.write(rec.to_json() + "\n")
+                    write_reports(outcome.reports, fp)
     metrics = RunMetrics(
         spec=spec,
         gap=float(alg.gap),

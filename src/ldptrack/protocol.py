@@ -215,7 +215,7 @@ class EstimateSeries:
 # wire format: one NDJSON object per emitted bit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRecord:
     user: int
     h: int
@@ -223,8 +223,8 @@ class ReportRecord:
     bit: int
 
     def to_json(self) -> str:
-        return json.dumps({"user": self.user, "h": self.h,
-                           "t": self.t, "bit": self.bit})
+        # the four fields are ints, so this is what json.dumps gives for them
+        return f'{{"user": {self.user}, "h": {self.h}, "t": {self.t}, "bit": {self.bit}}}'
 
     @classmethod
     def from_json(cls, line: str) -> "ReportRecord":
@@ -239,9 +239,8 @@ class ReportRecord:
 
 
 def write_reports(records: Sequence[ReportRecord], fp: IO[str]) -> None:
-    for rec in records:
-        fp.write(rec.to_json())
-        fp.write("\n")
+    """One NDJSON line per record."""
+    fp.writelines(f"{rec.to_json()}\n" for rec in records)
 
 
 def read_reports(fp: IO[str]) -> list[ReportRecord]:

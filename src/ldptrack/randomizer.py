@@ -364,7 +364,7 @@ def sample_composed_batch(cfg: RandomizerConfig, n: int,
     while done < n:
         m = min(chunk, n - done)
         flips = rng.integers(0, 1 << 32, size=(m, k), dtype=np.uint32) < threshold
-        block = np.where(flips, -1, 1).astype(np.int8)
+        block = 1 - 2 * flips.view(np.int8)
         if comp_d is not None:
             dist = flips.sum(axis=1)
             outside = (dist < cfg.lb) | (dist > cfg.ub)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -89,3 +90,13 @@ def test_scaling_command(capsys, tmp_path):
     assert "log-log slope" in capsys.readouterr().out
     payload = json.loads(out.read_text())
     assert set(payload) == {"cells", "slopes"}
+
+
+def test_audit_randomizer_sample_one_audits_the_coordinate_it_uses(capsys):
+    # a keep-one client only ever uses coordinate 0, at eps / 2
+    code = main(["audit", "randomizer", "--algo", "sample-one", "--k", "3",
+                 "--eps", "1"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True
+    assert payload["max_ratio"] == pytest.approx(math.exp(0.5), rel=1e-12)

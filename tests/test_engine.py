@@ -1,0 +1,116 @@
+"""The engine's change-time sampler, its shards and its window sums."""
+
+import math
+
+import numpy as np
+import pytest
+
+from ldptrack import engine
+from ldptrack.audit import chi_square
+from ldptrack.baselines import algorithm_config
+from ldptrack.engine import (CHANGE_MODELS, PURPOSE_POPULATION, SHARD,
+                             sample_changes, simulate_rep, substream,
+                             truth_from_changes)
+from ldptrack.errors import SparsityError
+from ldptrack.protocol import server_init, server_register, server_step
+
+
+def _subset_histogram(times: np.ndarray, d: int, c: int) -> np.ndarray:
+    """How often each c-subset of [1, d] occurs among the rows' first c times."""
+    masks = (np.int64(1) << (times[:, :c].astype(np.int64) - 1)).sum(axis=1)
+    subsets = np.array([m for m in range(1 << d) if m.bit_count() == c])
+    idx = np.searchsorted(subsets, masks)
+    assert np.array_equal(subsets[np.minimum(idx, subsets.size - 1)], masks)
+    return np.bincount(idx, minlength=subsets.size)
+
+
+# (8, 3) and (8, 4) draw the times, (8, 5) and (16, 13) their complement
+@pytest.mark.parametrize("d, c", [(8, 3), (8, 4), (8, 5), (16, 13)])
+def test_sampler_uniform_over_all_subsets(d, c):
+    bins = math.comb(d, c)
+    _, times = sample_changes(max(20_000, 40 * bins), d, c, "exactly_k",
+                              np.random.default_rng(100 * d + c))
+    res = chi_square(_subset_histogram(times, d, c), np.ones(bins), significance=0.001)
+    assert res.passed, res
+
+
+def test_sampler_uniform_per_count_when_k_equals_d():
+    # d = k = 16: counts spread over 0..16, both sides of the complement switch
+    counts, times = sample_changes(200_000, 16, 16, "uniform", np.random.default_rng(5))
+    for c in (2, 14, 15):
+        rows = times[counts == c]
+        res = chi_square(_subset_histogram(rows, 16, c), np.ones(math.comb(16, c)),
+                         significance=0.001)
+        assert res.passed, (c, res)
+    full = times[counts == 16]
+    assert np.array_equal(full, np.tile(np.arange(1, 17), (len(full), 1)))
+
+
+def test_sampler_edge_cases_and_layout():
+    rng = np.random.default_rng(8)
+    counts, times = sample_changes(50, 16, 0, "uniform", rng)
+    assert times.dtype == np.int32 and times.shape == (50, 1)
+    assert not counts.any() and not times.any()
+    _, times = sample_changes(50, 16, 16, "exactly_k", rng)
+    assert times.dtype == np.int32
+    assert np.array_equal(times, np.tile(np.arange(1, 17, dtype=np.int32), (50, 1)))
+    _, times = sample_changes(20, 1, 1, "exactly_k", rng)
+    assert np.array_equal(times, np.ones((20, 1)))
+    for model in CHANGE_MODELS:
+        counts, times = sample_changes(2000, 64, 40, model, rng)
+        assert times.dtype == np.int32 and times.shape == (2000, 40)
+        valid = np.arange(40) < counts[:, None]
+        assert np.all(np.diff(times, axis=1)[valid[:, 1:]] > 0), model
+        assert np.all((times[valid] >= 1) & (times[valid] <= 64)), model
+        assert not times[~valid].any(), model
+
+
+def _replay(alg, d, reports) -> np.ndarray:
+    server = server_init(d, alg.k, alg.eps, alg.gap, alg.server_factor)
+    due = [[] for _ in range(d + 1)]
+    for rec in reports:
+        if rec.user not in server.h_of:
+            server_register(server, rec.user, rec.h)
+        due[rec.t].append((rec.user, rec.bit))
+    return np.array([server_step(server, t, due[t]) for t in range(1, d + 1)])
+
+
+@pytest.mark.parametrize("n", [5, SHARD + 3, 2 * SHARD])
+def test_shards_cover_every_user_once(n, monkeypatch):
+    sizes = []
+    sample = engine.sample_changes
+
+    def spy(m, *args):
+        sizes.append(m)
+        return sample(m, *args)
+
+    monkeypatch.setattr(engine, "sample_changes", spy)
+    d, k = 8, 2
+    alg = algorithm_config("futurerand", k, 1.0, L=d)
+    out = simulate_rep(alg, n, d, seed=4, rep=1, collect_reports=True)
+    assert sizes == [SHARD] * (n // SHARD) + ([n % SHARD] if n % SHARD else [])
+    truth = sum(truth_from_changes(*sample(m, d, k, "uniform",
+                                           substream(4, 1, PURPOSE_POPULATION, s)), d)
+                for s, m in enumerate(sizes))
+    assert np.array_equal(out.truth, truth)
+    # records by order, then user, then window; one bit per due window
+    keys = [(r.h, r.user, r.t) for r in out.reports]
+    assert keys == sorted(keys)
+    order = {r.user: r.h for r in out.reports}
+    assert sorted(order) == list(range(n))
+    assert len(out.reports) == sum(d >> h for h in order.values())
+    assert np.array_equal(_replay(alg, d, out.reports), out.estimates)
+    # without reports the population is the same; the zero windows' coins differ
+    plain = simulate_rep(alg, n, d, seed=4, rep=1)
+    assert np.array_equal(plain.truth, out.truth)
+
+
+def test_forged_population_with_too_many_nonzero_windows_raises(monkeypatch):
+    def forged(n, d, k, model, rng):
+        # three changes in three windows at orders 0 and 1, against k = 2
+        return np.full(n, 3), np.tile(np.array([1, 3, 5], dtype=np.int32), (n, 1))
+
+    monkeypatch.setattr(engine, "sample_changes", forged)
+    alg = algorithm_config("futurerand", 2, 1.0, L=8)
+    with pytest.raises(SparsityError, match="non-zero window sums"):
+        simulate_rep(alg, 50, 8, seed=0, rep=0)

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -219,3 +220,20 @@ def test_report_record_rejects_bad_payload():
         ReportRecord.from_json('{"user": 1, "h": 0, "t": 1, "bit": 2}')
     with pytest.raises(ValueError):
         ReportRecord.from_json('{"user": 1, "h": 0, "t": 1, "bit": 1, "x": 0}')
+
+
+def test_write_reports_exact_bytes():
+    records = [ReportRecord(user=0, h=0, t=1, bit=-1),
+               ReportRecord(user=2**40 + 7, h=10, t=1024, bit=1),
+               ReportRecord(user=99_999, h=3, t=16, bit=-1)]
+    buf = io.StringIO()
+    write_reports(records, buf)
+    assert buf.getvalue() == (
+        '{"user": 0, "h": 0, "t": 1, "bit": -1}\n'
+        '{"user": 1099511627783, "h": 10, "t": 1024, "bit": 1}\n'
+        '{"user": 99999, "h": 3, "t": 16, "bit": -1}\n'
+    )
+    # the same bytes as json.dumps of the record's fields
+    for rec in records:
+        assert rec.to_json() == json.dumps(
+            {"user": rec.user, "h": rec.h, "t": rec.t, "bit": rec.bit})
