@@ -17,13 +17,12 @@ from .errors import CapacityError, ConfigError, ProtocolError, SparsityError
 from .harness import (ExperimentSpec, RunMetrics, ScalingStudy, gen_population,
                       run_experiment, run_reference, scaling_study,
                       theoretical_bound)
-from .protocol import (ClientState, EstimateSeries, ReportRecord, ServerState,
-                       client_init, client_step, read_reports, server_init,
-                       server_register, server_step, write_reports)
-from .randomizer import (DistributionTable, RandomizerConfig, annulus_bounds,
-                         compose_randomize, exact_output_distribution,
-                         futurerand_config, g_weight, gap, gap_lower_bound_expr,
-                         q_star, sample_outside_annulus)
+from .protocol import (ClientState, ReportRecord, ServerState, client_init,
+                       client_step, read_reports, server_init, server_register,
+                       server_step, write_reports)
+from .randomizer import (DistributionTable, RandomizerConfig,
+                         exact_output_distribution, futurerand_config, g_weight,
+                         gap_lower_bound_expr, q_star, sample_composed_batch)
 from .audit import (AuditReport, ChiSquareResult, GapDiagnostics, audit_client,
                     audit_client_sweep, audit_randomizer, chi_square, verify_gap)
 

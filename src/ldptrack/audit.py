@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from mpmath import mp, mpf
@@ -21,8 +20,8 @@ from .baselines import AlgorithmConfig, algorithm_config
 from .dyadic import DerivativeStream, DyadicInterval, derive, order_support, partial_sum
 from .errors import CapacityError
 from .randomizer import (DistributionTable, RandomizerConfig, distance_law,
-                         exact_output_distribution, gap, gap_lower_bound_expr,
-                         sample_composed_batch, _pack_signs, _unpack_signs)
+                         exact_output_distribution, gap_lower_bound_expr,
+                         sample_composed_batch, _unpack_signs)
 
 AUDIT_K = 12          # full input-pair enumeration bound
 CLIENT_AUDIT_D = 8    # client-level audit bounds
@@ -67,24 +66,18 @@ class AuditReport:
         }
 
 
-def audit_randomizer(cfg: RandomizerConfig,
-                     inputs: Sequence | None = None) -> AuditReport:
-    """Max probability ratio of the composed randomizer over input pairs.
+def audit_randomizer(cfg: RandomizerConfig) -> AuditReport:
+    """Max probability ratio of the composed randomizer over all input pairs.
 
     Every input's output table is a permutation of the same distance law,
     so the law is checked once for unit mass, sum_i C(k, i) law[i] = 1;
-    then all (input, input', output) triples are scanned through the
-    distance classes.  Defaults to all 2^k inputs.
+    then all (input, input', output) triples over the 2^k inputs are
+    scanned through the distance classes.
     """
     k = cfg.k
     if k > AUDIT_K:
         raise CapacityError(f"k={k} above enumeration bound {AUDIT_K}")
-    if inputs is None:
-        masks = np.arange(1 << k, dtype=np.uint32)
-    else:
-        masks = np.array([_pack_signs(b, k) for b in inputs], dtype=np.uint32)
-    if len(masks) == 0:
-        raise ValueError("need at least one input")
+    masks = np.arange(1 << k, dtype=np.uint32)
     law = distance_law(cfg)
     mass = sum((math.comb(k, i) * law[i] for i in range(k + 1)), mpf(0))
     if abs(mass - 1) > mpf("1e-12"):
@@ -94,8 +87,7 @@ def audit_randomizer(cfg: RandomizerConfig,
     for r, i in enumerate(order):
         rank_of[i] = r
 
-    outs = np.arange(1 << k, dtype=np.uint32)
-    dist = np.bitwise_count(masks[:, None] ^ outs[None, :])
+    dist = np.bitwise_count(masks[:, None] ^ masks[None, :])
     ranks = rank_of[dist]
     hi = ranks.max(axis=0)
     lo = ranks.min(axis=0)
@@ -231,6 +223,8 @@ def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand"
     With ``pairs`` set, that many unordered pairs are drawn uniformly from
     the valid streams; otherwise every pair is checked.
     """
+    if pairs is not None and pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     alg = _client_algorithm(d, k, eps, algorithm)
     streams = enumerate_streams(d, k)
     dists = [_client_distribution(alg, d, s) for s in streams]
@@ -274,9 +268,9 @@ class GapDiagnostics:
 
 def verify_gap(cfg: RandomizerConfig, draws: int = 1_000_000,
                rng: np.random.Generator | None = None) -> GapDiagnostics:
-    """Check gap(cfg) against (a) enumeration for k <= 12, (b) a Monte-Carlo
+    """Check cfg.gap against (a) enumeration for k <= 12, (b) a Monte-Carlo
     marginal within 4 sigma, (c) the certified lower bound when applicable."""
-    g = gap(cfg)
+    g = cfg.gap
     enum_gap = enum_ok = None
     if cfg.k <= AUDIT_K:
         table = exact_output_distribution(np.ones(cfg.k, dtype=np.int8), cfg)

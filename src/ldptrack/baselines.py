@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 from .errors import ConfigError
 from .protocol import ClientState, client_init
 from .randomizer import (RandomizerConfig, futurerand_config, rr_config,
-                         _build_config)
+                         _build_config, _flip_probability)
 
 ALGORITHMS = ("futurerand", "naive", "sample_one", "bns19")
 
@@ -47,13 +47,10 @@ class AlgorithmConfig:
     randomizer: RandomizerConfig
     server_factor: int = 1
     keep_one: bool = False
-    lam: mpf | None = None
 
     def __post_init__(self) -> None:
         if self.tag not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm tag {self.tag!r}")
-        if not 0 < self.randomizer.gap < 1:
-            raise ConfigError("gap outside (0, 1)")
 
     @property
     def gap(self) -> mpf:
@@ -68,21 +65,19 @@ class AlgorithmConfig:
         return self.randomizer.k
 
 
-def futurerand_algorithm(k: int, eps: float, L: int | None = None) -> AlgorithmConfig:
-    return AlgorithmConfig(tag="futurerand", randomizer=futurerand_config(k, eps, L))
+def futurerand_algorithm(k: int, eps: float) -> AlgorithmConfig:
+    return AlgorithmConfig(tag="futurerand", randomizer=futurerand_config(k, eps))
 
 
-def naive_config(k: int, eps: float, L: int | None = None) -> AlgorithmConfig:
+def naive_config(k: int, eps: float) -> AlgorithmConfig:
     """Independent randomized response at per-coordinate budget eps / k."""
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
     if k < 1:
         raise ConfigError("k must be >= 1")
-    rand = rr_config(k, mpf(eps) / k, eps=eps, L=L)
+    rand = rr_config(k, mpf(eps) / k, eps=eps)
     return AlgorithmConfig(tag="naive", randomizer=rand)
 
 
-def sample_one_config(k: int, eps: float, L: int | None = None) -> AlgorithmConfig:
+def sample_one_config(k: int, eps: float) -> AlgorithmConfig:
     """Keep one of k potential changes, perturb it with RR at eps / 2.
 
     The slot is drawn uniformly from k slots of which the user's actual
@@ -90,16 +85,12 @@ def sample_one_config(k: int, eps: float, L: int | None = None) -> AlgorithmConf
     change therefore survives with probability exactly 1/k, and the
     server's extra factor k makes the estimator unbiased for every user.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    rand = rr_config(k, mpf(eps) / 2, eps=eps, L=L)
+    rand = rr_config(k, mpf(eps) / 2, eps=eps)
     return AlgorithmConfig(tag="sample_one", randomizer=rand,
                            server_factor=k, keep_one=True)
 
 
-def bns19_config(k: int, eps: float, L: int | None = None) -> AlgorithmConfig:
+def bns19_config(k: int, eps: float) -> AlgorithmConfig:
     """Composed randomizer with the symmetric annulus kp +- sqrt((k/2) ln(2/lambda)).
 
     lambda = eps / (12 (k+1) sqrt(1 + ln(1/eps))) and
@@ -110,7 +101,6 @@ def bns19_config(k: int, eps: float, L: int | None = None) -> AlgorithmConfig:
         raise ConfigError(f"eps={eps} outside (0, 1]")
     if k < 1:
         raise ConfigError("k must be >= 1")
-    L = k if L is None else L
     eps_mp = mpf(eps)
     lam = eps_mp / (12 * (k + 1) * mp.sqrt(1 + mp.log(1 / eps_mp)))
     et = eps_mp / (6 * mp.sqrt(k * mp.log(1 / lam)))
@@ -120,14 +110,10 @@ def bns19_config(k: int, eps: float, L: int | None = None) -> AlgorithmConfig:
             f"constraint 0 < lambda < (eps_tilde sqrt(k) / (2(k+1)))^(2/3) violated: "
             f"lambda={float(lam):.6g}, limit={float(limit):.6g} (k={k}, eps={eps})"
         )
-    p = 1 / (mp.exp(et) + 1)
+    kp = k * _flip_probability(et)
     width = mp.sqrt((mpf(k) / 2) * mp.log(2 / lam))
-    lb = max(0, int(mp.ceil(k * p - width)))
-    ub = min(k, int(mp.floor(k * p + width)))
-    if lb > ub:
-        raise ConfigError(f"annulus degenerate after rounding: lb={lb} > ub={ub}")
-    rand = _build_config(eps, k, L, et, lb, ub, ub_real=k * p + width)
-    return AlgorithmConfig(tag="bns19", randomizer=rand, lam=lam)
+    rand = _build_config(eps, k, et, kp - width, kp + width)
+    return AlgorithmConfig(tag="bns19", randomizer=rand)
 
 
 def algo_tag(text: str) -> str:
@@ -137,6 +123,7 @@ def algo_tag(text: str) -> str:
 
 def algorithm_config(tag: str, k: int, eps: float,
                      L: int | None = None) -> AlgorithmConfig:
+    """Config of algorithm ``tag``; with ``L`` set, k must not exceed it."""
     tag = algo_tag(tag)
     builders = {
         "futurerand": futurerand_algorithm,
@@ -146,7 +133,9 @@ def algorithm_config(tag: str, k: int, eps: float,
     }
     if tag not in builders:
         raise ConfigError(f"unknown algorithm {tag!r}; choose from {ALGORITHMS}")
-    return builders[tag](k, eps, L)
+    if L is not None and k > L:
+        raise ConfigError(f"need k <= L, got k={k}, L={L}")
+    return builders[tag](k, eps)
 
 
 def client_randomizer(alg: AlgorithmConfig) -> RandomizerConfig:
@@ -161,7 +150,7 @@ def client_randomizer(alg: AlgorithmConfig) -> RandomizerConfig:
     cfg = alg.randomizer
     if not alg.keep_one:
         return cfg
-    return rr_config(1, cfg.eps_tilde, eps=cfg.eps, L=cfg.L)
+    return rr_config(1, cfg.eps_tilde, eps=cfg.eps)
 
 
 def make_client(alg: AlgorithmConfig, d: int, rng: np.random.Generator,
@@ -172,7 +161,7 @@ def make_client(alg: AlgorithmConfig, d: int, rng: np.random.Generator,
     the user's full derivative; this is the one place a baseline consumes
     offline knowledge.
     """
-    state = client_init(alg.k, d, alg.eps, rng, cfg=alg.randomizer)
+    state = client_init(alg.randomizer, d, rng)
     if alg.keep_one:
         if change_times is None:
             raise ValueError("sample-one client needs the user's change times at init")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,9 +20,8 @@ from .baselines import AlgorithmConfig, algorithm_config, make_client
 from .dyadic import DerivativeStream, TruthSeries, is_power_of_two
 from .engine import (CHANGE_MODELS, simulate_rep, sample_changes, substream,
                      truth_from_changes)
-from .protocol import (EstimateSeries, ReportRecord, client_step, server_init,
-                       server_register, server_scale, server_step,
-                       write_reports)
+from .protocol import (ReportRecord, client_step, server_init, server_register,
+                       server_scale, server_step, write_reports)
 
 __all__ = [
     "ExperimentSpec",
@@ -123,8 +121,6 @@ class RunMetrics:
     bound: float
     regime_ok: bool
     max_errs: tuple[float, ...]
-    per_t_mean_abs_err: tuple[float, ...]
-    wall_clock: float
 
     def summary(self) -> dict:
         arr = np.asarray(self.max_errs)
@@ -179,9 +175,7 @@ def run_experiment(spec: ExperimentSpec,
     ``dump_reports_to`` when given.
     """
     alg = spec.algorithm()
-    started = time.perf_counter()
     max_errs = []
-    per_t = np.zeros(spec.d)
     first_rep = None
     for rep in range(spec.reps):
         collect = rep == 0 and dump_reports_to is not None
@@ -189,7 +183,6 @@ def run_experiment(spec: ExperimentSpec,
                                change_model=spec.change_model,
                                collect_reports=collect)
         max_errs.append(outcome.max_error)
-        per_t += np.abs(outcome.estimates - outcome.truth)
         if rep == 0:
             first_rep = (outcome.truth, outcome.estimates)
             if collect:
@@ -202,8 +195,6 @@ def run_experiment(spec: ExperimentSpec,
         bound=theoretical_bound(spec.n, spec.d, spec.beta, alg),
         regime_ok=regime_ok(spec.n, spec.d, spec.k, spec.eps, spec.beta),
         max_errs=tuple(max_errs),
-        per_t_mean_abs_err=tuple(per_t / spec.reps),
-        wall_clock=time.perf_counter() - started,
     )
     if spec.out is not None:
         _write_outputs(metrics, Path(spec.out), first_rep)
@@ -212,7 +203,7 @@ def run_experiment(spec: ExperimentSpec,
 
 def run_reference(streams: list[DerivativeStream], alg: AlgorithmConfig,
                   d: int, seed: int = 0,
-                  rep: int = 0) -> tuple[EstimateSeries, list[ReportRecord]]:
+                  rep: int = 0) -> tuple[tuple[float, ...], list[ReportRecord]]:
     """Reference path: per-user online clients driving the incremental server."""
     server = server_init(d, alg.k, alg.eps, alg.gap, alg.server_factor)
     clients = []
@@ -231,7 +222,7 @@ def run_reference(streams: list[DerivativeStream], alg: AlgorithmConfig,
                 due.append((uid, bit))
                 records.append(ReportRecord(user=uid, h=state.h, t=t, bit=bit))
         estimates.append(server_step(server, t, due))
-    return EstimateSeries(estimates=tuple(estimates)), records
+    return tuple(estimates), records
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,11 @@ from mpmath import mpf
 
 from .dyadic import _check_horizon, decompose
 from .errors import ProtocolError, SparsityError
-from .randomizer import RandomizerConfig, compose_randomize, futurerand_config
+from .randomizer import RandomizerConfig, sample_composed_batch
 
 __all__ = [
     "ClientState",
     "ServerState",
-    "EstimateSeries",
     "ReportRecord",
     "client_init",
     "client_step",
@@ -45,11 +44,8 @@ class ClientState:
     """Per-user protocol state; driven by one thread via client_step."""
 
     h: int
-    L: int
     d: int
     k: int
-    eps: float
-    cfg: RandomizerConfig
     b_tilde: np.ndarray
     rng: np.random.Generator
     nnz: int = 0
@@ -61,18 +57,13 @@ class ClientState:
     filter_deltas: bool = False
 
 
-def client_init(k: int, d: int, eps: float, rng: np.random.Generator,
-                cfg: RandomizerConfig | None = None) -> ClientState:
+def client_init(cfg: RandomizerConfig, d: int,
+                rng: np.random.Generator) -> ClientState:
     """Sample the order uniformly and pre-draw the noise vector R~(1^k)."""
     _check_horizon(d)
-    if cfg is None:
-        cfg = futurerand_config(k, eps, L=max(d, k))
-    if cfg.k != k:
-        raise ValueError(f"config built for k={cfg.k}, client asked k={k}")
     h = int(rng.integers(0, d.bit_length()))
-    b_tilde = compose_randomize(np.ones(k, dtype=np.int8), cfg, rng)
-    return ClientState(h=h, L=d >> h, d=d, k=k, eps=eps, cfg=cfg,
-                       b_tilde=b_tilde, rng=rng)
+    b_tilde = sample_composed_batch(cfg, 1, rng)[0]
+    return ClientState(h=h, d=d, k=cfg.k, b_tilde=b_tilde, rng=rng)
 
 
 def client_step(state: ClientState, t: int, delta: int) -> int | None:
@@ -204,13 +195,6 @@ def server_step(state: ServerState, t: int,
     return readout(state.scale, state.sums, t, state.d)
 
 
-@dataclass(frozen=True)
-class EstimateSeries:
-    """Estimates f_hat(1..d) produced by a full server run."""
-
-    estimates: tuple[float, ...]
-
-
 # ---------------------------------------------------------------------------
 # wire format: one NDJSON object per emitted bit
 
@@ -231,8 +215,9 @@ class ReportRecord:
         obj = json.loads(line)
         if set(obj) != {"user", "h", "t", "bit"}:
             raise ValueError(f"record keys {sorted(obj)} != ['bit', 'h', 't', 'user']")
-        rec = cls(user=int(obj["user"]), h=int(obj["h"]),
-                  t=int(obj["t"]), bit=int(obj["bit"]))
+        if any(type(v) is not int for v in obj.values()):
+            raise ValueError(f"record fields must be integers, got {obj}")
+        rec = cls(**obj)
         if rec.bit not in (-1, 1):
             raise ValueError(f"bit must be -1 or +1, got {rec.bit}")
         return rec

@@ -28,21 +28,18 @@ mp.dps = 50
 
 MAX_EXACT_K = 4096  # exact big-integer binomials are used up to this k
 ENUMERATION_K = 20  # full 2^k output tables are built up to this k
+BATCH_CHUNK = 1 << 16  # rows per block of uniform words in sample_composed_batch
 
 __all__ = [
     "RandomizerConfig",
     "DistributionTable",
-    "annulus_bounds",
     "g_weight",
     "q_star",
     "futurerand_config",
     "rr_config",
     "distance_law",
     "complement_distances",
-    "sample_outside_annulus",
-    "compose_randomize",
     "sample_composed_batch",
-    "gap",
     "gap_lower_bound_expr",
     "exact_output_distribution",
 ]
@@ -54,32 +51,6 @@ __all__ = [
 
 def _flip_probability(eps_tilde: mpf) -> mpf:
     return 1 / (mp.exp(eps_tilde) + 1)
-
-
-def annulus_bounds(k: int, eps_tilde: float | mpf) -> tuple[int, int]:
-    """Integer annulus [lb, ub] on the Hamming distance.
-
-    lb rounds kp - 2*sqrt(k) up and clamps at 0; ub rounds
-    (k/eps_tilde) * ln(2 e^eps_tilde / (e^eps_tilde + 1)) down and clamps
-    at k.  Rounding inward keeps the integer annulus inside the
-    real-valued one.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    et = mpf(eps_tilde)
-    if et <= 0:
-        raise ValueError("per-bit budget must be > 0")
-    p = _flip_probability(et)
-    lb_real = k * p - 2 * mp.sqrt(mpf(k))
-    ub_real = (k / et) * mp.log(2 * mp.exp(et) / (mp.exp(et) + 1))
-    lb = max(0, int(mp.ceil(lb_real)))
-    ub = min(k, int(mp.floor(ub_real)))
-    if lb > ub:
-        raise ConfigError(
-            f"annulus degenerate after rounding: lb={lb} > ub={ub} "
-            f"(k={k}, eps_tilde={float(et):.6g}); k too small for this budget"
-        )
-    return lb, ub
 
 
 def g_weight(i, k: int, p) -> mpf:
@@ -131,7 +102,6 @@ class RandomizerConfig:
 
     eps: float
     k: int
-    L: int
     eps_tilde: mpf
     p: mpf
     lb: int
@@ -142,8 +112,8 @@ class RandomizerConfig:
     def __post_init__(self) -> None:
         if self.eps <= 0:
             raise ConfigError("eps must be > 0")
-        if not 1 <= self.k <= self.L:
-            raise ConfigError(f"need 1 <= k <= L, got k={self.k}, L={self.L}")
+        if self.k < 1:
+            raise ConfigError(f"need k >= 1, got k={self.k}")
         if not 0 <= self.lb <= self.ub <= self.k:
             raise ConfigError(f"need 0 <= lb <= ub <= k, got [{self.lb}, {self.ub}]")
         if not 0 < self.p < mpf(1) / 2:
@@ -157,43 +127,54 @@ class RandomizerConfig:
         return self.lb == 0 and self.ub == self.k
 
 
-def _build_config(eps: float, k: int, L: int, eps_tilde: mpf,
-                  lb: int, ub: int, ub_real: mpf) -> RandomizerConfig:
+def _build_config(eps: float, k: int, eps_tilde: mpf,
+                  lb_real: mpf, ub_real: mpf) -> RandomizerConfig:
+    """Config for the real-valued annulus [lb_real, ub_real] at this budget.
+
+    Rounds inward (lb up, ub down) and clamps to [0, k], so the integer
+    annulus stays inside the real-valued one.
+    """
+    lb = max(0, int(mp.ceil(lb_real)))
+    ub = min(k, int(mp.floor(ub_real)))
+    if lb > ub:
+        raise ConfigError(
+            f"annulus degenerate after rounding: lb={lb} > ub={ub} "
+            f"(k={k}, eps_tilde={float(eps_tilde):.6g}); k too small for this budget"
+        )
     p = _flip_probability(eps_tilde)
     simplified, two_sum = _gap_both_forms(k, lb, ub, p)
     if abs(simplified - two_sum) > mpf("1e-12") * abs(simplified):
         raise ArithmeticError(f"gap forms disagree: {simplified} vs {two_sum}")
-    return RandomizerConfig(eps=eps, k=k, L=L, eps_tilde=eps_tilde, p=p,
+    return RandomizerConfig(eps=eps, k=k, eps_tilde=eps_tilde, p=p,
                             lb=lb, ub=ub, gap=simplified, ub_real=ub_real)
 
 
-def futurerand_config(k: int, eps: float, L: int | None = None) -> RandomizerConfig:
+def futurerand_config(k: int, eps: float) -> RandomizerConfig:
     """Composed-randomizer parameters at per-bit budget eps / (5 sqrt(k)).
 
-    Requires 0 < eps <= 1; the annulus construction's guarantees are
-    derived under that assumption.
+    The annulus runs from kp - 2 sqrt(k) to
+    (k/eps_tilde) ln(2 e^eps_tilde / (e^eps_tilde + 1)).  Requires
+    0 < eps <= 1; the annulus construction's guarantees are derived under
+    that assumption.
     """
     if not 0 < eps <= 1:
         raise ConfigError(f"eps={eps} outside (0, 1]")
     if k < 1:
         raise ConfigError("k must be >= 1")
-    L = k if L is None else L
     et = mpf(eps) / (5 * mp.sqrt(mpf(k)))
-    lb, ub = annulus_bounds(k, et)
+    lb_real = k * _flip_probability(et) - 2 * mp.sqrt(mpf(k))
     ub_real = (k / et) * mp.log(2 * mp.exp(et) / (mp.exp(et) + 1))
-    return _build_config(eps, k, L, et, lb, ub, ub_real)
+    return _build_config(eps, k, et, lb_real, ub_real)
 
 
-def rr_config(k: int, eps_tilde: float | mpf, eps: float,
-              L: int | None = None) -> RandomizerConfig:
+def rr_config(k: int, eps_tilde: float | mpf, eps: float) -> RandomizerConfig:
     """Independent randomized response as a degenerate config (annulus [0, k])."""
     if k < 1:
         raise ConfigError("k must be >= 1")
-    L = k if L is None else L
     et = mpf(eps_tilde)
     if et <= 0:
         raise ConfigError("per-bit budget must be > 0")
-    return _build_config(eps, k, L, et, 0, k, mpf(k))
+    return _build_config(eps, k, et, mpf(0), mpf(k))
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +212,6 @@ def _gap_both_forms(k: int, lb: int, ub: int, p: mpf) -> tuple[mpf, mpf]:
     return simplified, two_sum
 
 
-def gap(cfg: RandomizerConfig) -> mpf:
-    """Exact per-coordinate gap P[output_i = b_i] - P[output_i = -b_i].
-
-    Identical for every coordinate and every input; computed once when the
-    config is built, where its two algebraic forms must agree to 1e-12
-    relative.
-    """
-    return cfg.gap
-
-
 def gap_lower_bound_expr(cfg: RandomizerConfig) -> mpf | None:
     """Certified numeric lower bound on the gap, or None when not applicable.
 
@@ -268,74 +239,6 @@ def gap_lower_bound_expr(cfg: RandomizerConfig) -> mpf | None:
 # sampling
 
 
-def _as_sign_array(b) -> np.ndarray:
-    arr = np.asarray(b, dtype=np.int8)
-    if arr.ndim != 1 or not np.all((arr == 1) | (arr == -1)):
-        raise ValueError("sign vector must be 1-d with entries -1 or +1")
-    return arr
-
-
-def _randint_below(rng: np.random.Generator, n: int) -> int:
-    """Uniform integer in [0, n) for arbitrary-precision n, by rejection."""
-    nbits = n.bit_length()
-    words = (nbits + 31) // 32
-    excess = 32 * words - nbits
-    while True:
-        r = 0
-        for w in map(int, rng.integers(0, 1 << 32, size=words, dtype=np.uint64)):
-            r = (r << 32) | w
-        r >>= excess
-        if r < n:
-            return r
-
-
-def sample_outside_annulus(b, cfg: RandomizerConfig,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample from the sign vectors at distance outside [lb, ub] from b.
-
-    Two stages: the distance i is drawn with exact big-integer weight
-    C(k, i) over the complement range, then a uniformly random i-subset of
-    coordinates is flipped.
-    """
-    b = _as_sign_array(b)
-    if len(b) != cfg.k:
-        raise ValueError(f"expected length {cfg.k}, got {len(b)}")
-    dists, weights = complement_distances(cfg.k, cfg.lb, cfg.ub)
-    if not dists:
-        raise ConfigError("annulus covers [0, k]: complement is empty")
-    total = sum(weights)
-    target = _randint_below(rng, total)
-    acc = 0
-    for i, c in zip(dists, weights):
-        acc += c
-        if target < acc:
-            distance = i
-            break
-    out = b.copy()
-    if distance:
-        flip = rng.choice(cfg.k, size=distance, replace=False)
-        out[flip] = -out[flip]
-    return out
-
-
-def compose_randomize(b, cfg: RandomizerConfig,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Coordinate-wise randomized response, then the annulus accept/resample rule.
-
-    The resample is a fresh uniform draw from outside the annulus; it does
-    not condition on the rejected intermediate vector.
-    """
-    b = _as_sign_array(b)
-    if len(b) != cfg.k:
-        raise ValueError(f"expected length {cfg.k}, got {len(b)}")
-    flips = rng.random(cfg.k) < float(cfg.p)
-    out = np.where(flips, -b, b).astype(np.int8)
-    distance = int(flips.sum())
-    if cfg.lb <= distance <= cfg.ub:
-        return out
-    return sample_outside_annulus(b, cfg, rng)
-
-
 def _complement_probs_float(cfg: RandomizerConfig) -> tuple[np.ndarray, np.ndarray]:
     dists, weights = complement_distances(cfg.k, cfg.lb, cfg.ub)
     total = mpf(sum(weights))
@@ -345,12 +248,14 @@ def _complement_probs_float(cfg: RandomizerConfig) -> tuple[np.ndarray, np.ndarr
 
 
 def sample_composed_batch(cfg: RandomizerConfig, n: int,
-                          rng: np.random.Generator,
-                          chunk: int = 1 << 16) -> np.ndarray:
+                          rng: np.random.Generator) -> np.ndarray:
     """n independent draws of the composed randomizer on the all-ones vector.
 
-    Vectorized batch equivalent of compose_randomize(ones, cfg, rng);
-    returns an (n, k) int8 array of signs.
+    Each row flips every coordinate with probability p; a row whose number
+    of flips falls outside [lb, ub] is replaced by a fresh uniform draw
+    from the sign vectors outside the annulus (its distance drawn with
+    weight C(k, i), then a uniformly random i-subset flipped).  Returns an
+    (n, k) int8 array of signs.
     """
     k = cfg.k
     # flip threshold quantized at 2^-32: relative error ~2e-10, far below
@@ -362,7 +267,7 @@ def sample_composed_batch(cfg: RandomizerConfig, n: int,
         comp_d, comp_p = _complement_probs_float(cfg)
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(BATCH_CHUNK, n - done)
         flips = rng.integers(0, 1 << 32, size=(m, k), dtype=np.uint32) < threshold
         block = 1 - 2 * flips.view(np.int8)
         if comp_d is not None:
@@ -384,6 +289,13 @@ def sample_composed_batch(cfg: RandomizerConfig, n: int,
 
 # ---------------------------------------------------------------------------
 # exact enumeration oracle
+
+
+def _as_sign_array(b) -> np.ndarray:
+    arr = np.asarray(b, dtype=np.int8)
+    if arr.ndim != 1 or not np.all((arr == 1) | (arr == -1)):
+        raise ValueError("sign vector must be 1-d with entries -1 or +1")
+    return arr
 
 
 def _pack_signs(b, k: int) -> int:

@@ -20,7 +20,7 @@ from ldptrack.harness import (ExperimentSpec, gen_population, run_experiment,
                               run_reference, scaling_study)
 from ldptrack.protocol import read_reports, write_reports
 from ldptrack.randomizer import (exact_output_distribution, futurerand_config,
-                                 gap, gap_lower_bound_expr,
+                                 gap_lower_bound_expr,
                                  sample_composed_batch, _gap_both_forms)
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -56,7 +56,7 @@ def test_criterion_2_gap_exactness():
     for k in range(2, 11):
         cfg = futurerand_config(k, 1.0)
         table = exact_output_distribution(np.ones(k, dtype=np.int8), cfg)
-        assert abs(table.marginal_gap(0) - gap(cfg)) <= mpf("1e-10"), k
+        assert abs(table.marginal_gap(0) - cfg.gap) <= mpf("1e-10"), k
     for k in (4, 64, 256):
         cfg = futurerand_config(k, 1.0)
         simplified, two_sum = _gap_both_forms(k, cfg.lb, cfg.ub, cfg.p)
@@ -83,7 +83,7 @@ def test_criterion_3_gap_lower_bound():
     for k in (64, 256, 1024):
         cfg = futurerand_config(k, 1.0)
         lower = gap_lower_bound_expr(cfg)
-        assert lower is not None and 0 < lower <= gap(cfg), k
+        assert lower is not None and 0 < lower <= cfg.gap, k
         values[k] = float(lower)
     _report("criterion 3", f"0 < lower bound <= gap at k in {{64,256,1024}}: {values}")
 

@@ -34,15 +34,6 @@ def test_audit_randomizer_naive_baseline():
     assert report.max_ratio <= mp.exp(mpf(1)) * (1 + mpf("1e-30"))
 
 
-def test_audit_randomizer_symmetric_in_input_order():
-    cfg = futurerand_config(3, 0.5)
-    a = [1, 1, -1]
-    b = [-1, 1, 1]
-    r1 = audit_randomizer(cfg, inputs=[a, b])
-    r2 = audit_randomizer(cfg, inputs=[b, a])
-    assert r1.max_ratio == r2.max_ratio
-
-
 def test_audit_randomizer_capacity():
     with pytest.raises(CapacityError):
         audit_randomizer(futurerand_config(13, 1.0))
@@ -148,12 +139,10 @@ def test_bounded_support_uses_prefix_marginal():
     # a stream with a single change uses only the first noise coordinate:
     # its output law factorizes into 2^-(L-1) times the first-coordinate
     # marginal of the noise vector
-    from ldptrack.randomizer import gap
-
     alg = algorithm_config("futurerand", 2, 1.0, L=4)
     stream = derive((0, 0, 0, 1), k=2)
     law = _client_distribution(alg, 4, stream)
-    g = gap(alg.randomizer)
+    g = alg.gap
     # at order 0 (L=4), the window at t=4 carries the change
     p_keep = (1 + g) / 2   # P[noise coordinate = +1] for the all-ones input
     base = mpf(1) / 3 * mpf(2) ** -3
@@ -184,10 +173,9 @@ def test_verify_gap_large_k_legs():
 
 
 def test_verify_gap_full_annulus_equals_rr():
-    from ldptrack.randomizer import gap
     cfg = rr_config(6, 0.25, eps=1.5)
     expected = (mp.exp(mpf("0.25")) - 1) / (mp.exp(mpf("0.25")) + 1)
-    assert abs(gap(cfg) - expected) < mpf("1e-12")
+    assert abs(cfg.gap - expected) < mpf("1e-12")
     diag = verify_gap(cfg, draws=200_000, rng=np.random.default_rng(10))
     assert diag.passed
 

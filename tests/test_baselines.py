@@ -44,7 +44,8 @@ def test_bns19_parameter_identity():
     for k, eps in [(16, 1.0), (256, 1.0), (64, 0.5)]:
         alg = bns19_config(k, eps)
         lhs = mpf(eps)
-        rhs = 6 * alg.randomizer.eps_tilde * mp.sqrt(k * mp.log(1 / alg.lam))
+        lam = lhs / (12 * (k + 1) * mp.sqrt(1 + mp.log(1 / lhs)))
+        rhs = 6 * alg.randomizer.eps_tilde * mp.sqrt(k * mp.log(1 / lam))
         assert abs(lhs - rhs) <= mpf("1e-12") * lhs
         assert rhs <= 1
 
@@ -90,6 +91,23 @@ def test_algorithm_config_tags():
     assert algorithm_config("futurerand", 4, 1.0).tag == "futurerand"
     with pytest.raises(ConfigError):
         algorithm_config("nope", 4, 1.0)
+
+
+@pytest.mark.parametrize("builder", [futurerand_algorithm, naive_config,
+                                     sample_one_config, bns19_config])
+def test_builders_reject_bad_k_and_eps(builder):
+    for k, eps in [(0, 1.0), (4, 0.0), (4, -1.0)]:
+        with pytest.raises(ConfigError):
+            builder(k, eps)
+    if builder in (futurerand_algorithm, bns19_config):
+        with pytest.raises(ConfigError):
+            builder(4, 1.5)
+
+
+def test_algorithm_config_rejects_k_above_l():
+    with pytest.raises(ConfigError):
+        algorithm_config("futurerand", 5, 1.0, L=4)
+    assert algorithm_config("futurerand", 4, 1.0, L=4).k == 4
 
 
 def test_make_client_sample_one_filters_stream():

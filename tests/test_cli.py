@@ -69,6 +69,13 @@ def test_audit_client_command(capsys):
     assert payload["pass"] is True
 
 
+def test_audit_client_zero_pairs_is_a_config_error(capsys):
+    code = main(["audit", "client", "--d", "4", "--k", "2", "--eps", "1",
+                 "--pairs", "0"])
+    assert code == 2
+    assert "pairs must be >= 1" in capsys.readouterr().err
+
+
 def test_dump_reports(tmp_path, capsys):
     reports = tmp_path / "reports.ndjson"
     code = main(["simulate", "--n", "20", "--d", "8", "--k", "2", "--eps", "1.0",

@@ -213,7 +213,7 @@ def test_engine_matches_reference_distribution():
         streams, truth = gen_population(60, 8, 2, "uniform",
                                         substream(3000, rep, 0))
         est, _ = run_reference(streams, alg, 8, seed=3000, rep=rep)
-        ref.append(est.estimates[5] - truth.counts[5])
+        ref.append(est[5] - truth.counts[5])
     eng, ref = np.array(eng), np.array(ref)
     se = np.sqrt(eng.var(ddof=1) / reps + ref.var(ddof=1) / reps)
     assert abs(eng.mean() - ref.mean()) < 4 * se

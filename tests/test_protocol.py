@@ -15,9 +15,9 @@ from ldptrack.randomizer import futurerand_config
 
 
 def _client_with_order(k, d, eps, h, start_seed=0):
-    cfg = futurerand_config(k, eps, L=d)
+    cfg = futurerand_config(k, eps)
     for seed in range(start_seed, start_seed + 5000):
-        state = client_init(k, d, eps, np.random.default_rng(seed), cfg=cfg)
+        state = client_init(cfg, d, np.random.default_rng(seed))
         if state.h == h:
             return state
     raise AssertionError(f"no seed produced order {h}")
@@ -28,26 +28,27 @@ def _client_with_order(k, d, eps, h, start_seed=0):
 
 
 def test_client_init_horizon_one_forces_order_zero():
+    cfg = futurerand_config(2, 1.0)
     for seed in range(20):
-        state = client_init(2, 1, 1.0, np.random.default_rng(seed))
-        assert state.h == 0 and state.L == 1
+        state = client_init(cfg, 1, np.random.default_rng(seed))
+        assert state.h == 0
 
 
 def test_client_init_order_uniform():
-    cfg = futurerand_config(2, 1.0, L=8)
+    cfg = futurerand_config(2, 1.0)
     counts = np.zeros(4, dtype=np.int64)
     for seed in range(20_000):
-        counts[client_init(2, 8, 1.0, np.random.default_rng(seed), cfg=cfg).h] += 1
+        counts[client_init(cfg, 8, np.random.default_rng(seed)).h] += 1
     res = chi_square(counts, [1, 1, 1, 1], significance=0.001)
     assert res.passed, res
 
 
 def test_client_init_btilde_marginal_matches_gap():
-    cfg = futurerand_config(2, 1.0, L=8)
+    cfg = futurerand_config(2, 1.0)
     total = 0
     n = 20_000
     for seed in range(n):
-        state = client_init(2, 8, 1.0, np.random.default_rng(seed), cfg=cfg)
+        state = client_init(cfg, 8, np.random.default_rng(seed))
         total += int(state.b_tilde[0])
     est = total / n
     g = float(cfg.gap)
@@ -220,6 +221,15 @@ def test_report_record_rejects_bad_payload():
         ReportRecord.from_json('{"user": 1, "h": 0, "t": 1, "bit": 2}')
     with pytest.raises(ValueError):
         ReportRecord.from_json('{"user": 1, "h": 0, "t": 1, "bit": 1, "x": 0}')
+    # every field must be a JSON integer: no truncation, no coercion
+    with pytest.raises(ValueError):
+        ReportRecord.from_json('{"user": 1.7, "h": 0, "t": 1, "bit": 1}')
+    with pytest.raises(ValueError):
+        ReportRecord.from_json('{"user": "5", "h": 0, "t": 1, "bit": 1}')
+    with pytest.raises(ValueError):
+        ReportRecord.from_json('{"user": 1, "h": 0, "t": 2.9, "bit": 1}')
+    with pytest.raises(ValueError):
+        ReportRecord.from_json('{"user": 1, "h": 0, "t": 1, "bit": true}')
 
 
 def test_write_reports_exact_bytes():

@@ -6,12 +6,11 @@ from mpmath import mp, mpf
 
 from ldptrack.audit import chi_square
 from ldptrack.errors import CapacityError, ConfigError
-from ldptrack.randomizer import (RandomizerConfig, annulus_bounds,
-                                 complement_distances, compose_randomize,
+from ldptrack.randomizer import (RandomizerConfig, complement_distances,
                                  exact_output_distribution, futurerand_config,
-                                 g_weight, gap, gap_lower_bound_expr,
-                                 q_star, rr_config,
-                                 sample_composed_batch, sample_outside_annulus,
+                                 g_weight, gap_lower_bound_expr,
+                                 distance_law, q_star, rr_config,
+                                 sample_composed_batch,
                                  _build_config, _gap_both_forms)
 
 ONES = lambda k: np.ones(k, dtype=np.int8)
@@ -21,8 +20,9 @@ ONES = lambda k: np.ones(k, dtype=np.int8)
 # configuration and bounds
 
 
-def test_annulus_bounds_k4_eps1():
-    lb, ub = annulus_bounds(4, mpf(1) / (5 * mp.sqrt(mpf(4))))
+def test_futurerand_annulus_k4_eps1():
+    cfg = futurerand_config(4, 1.0)
+    lb, ub = cfg.lb, cfg.ub
     assert lb == 0  # kp - 2 sqrt(k) is negative, clamped
     # independent high-precision evaluation of the upper-bound formula
     with mp.workdps(80):
@@ -50,7 +50,7 @@ def test_futurerand_rejects_large_eps():
 def test_config_validation_catches_degenerate_annulus():
     cfg = futurerand_config(4, 1.0)
     with pytest.raises(ConfigError):
-        RandomizerConfig(eps=cfg.eps, k=cfg.k, L=cfg.L, eps_tilde=cfg.eps_tilde,
+        RandomizerConfig(eps=cfg.eps, k=cfg.k, eps_tilde=cfg.eps_tilde,
                          p=cfg.p, lb=3, ub=2, gap=cfg.gap, ub_real=cfg.ub_real)
 
 
@@ -124,73 +124,58 @@ def test_q_star_vs_g_at_ub_invariant():
 # sampling
 
 
-def test_outside_annulus_distance_zero_only():
-    cfg = _build_config(1.0, 3, 3, mpf("0.1"), 1, 3, mpf(3))
-    rng = np.random.default_rng(0)
-    b = np.array([1, -1, 1], dtype=np.int8)
-    for _ in range(50):
-        assert np.array_equal(sample_outside_annulus(b, cfg, rng), b)
-
-
 def test_outside_annulus_distance_histogram():
-    # complement of [2, 4] in [0, 8]: distances {0, 1, 5, 6, 7, 8} with
-    # C(8, i)-proportional weights
-    cfg = _build_config(1.0, 8, 8, mpf("0.05"), 2, 4, mpf(8))
-    dists, weights = complement_distances(8, 2, 4)
+    # annulus [2, 4] on k=8: the distance law is C(8, i) * law[i], with the
+    # outside-annulus distances {0, 1, 5, 6, 7, 8} each at the common q*
+    cfg = _build_config(1.0, 8, mpf("0.05"), mpf(2), mpf(4))
+    dists, _ = complement_distances(8, 2, 4)
     assert dists == [0, 1, 5, 6, 7, 8]
-    rng = np.random.default_rng(21)
-    b = ONES(8)
-    draws = 200_000
-    hist = np.zeros(9, dtype=np.int64)
-    for _ in range(draws):
-        out = sample_outside_annulus(b, cfg, rng)
-        hist[int((out != b).sum())] += 1
-    assert hist[[2, 3, 4]].sum() == 0
-    res = chi_square(hist[dists], weights, significance=0.001)
+    law = distance_law(cfg)
+    batch = sample_composed_batch(cfg, 200_000, np.random.default_rng(21))
+    hist = np.bincount((batch == -1).sum(axis=1), minlength=9)
+    res = chi_square(hist, [float(math.comb(8, i) * law[i]) for i in range(9)],
+                     significance=0.001)
     assert res.passed, res
 
 
 def test_outside_annulus_flip_sets_uniform():
-    # annulus [2, 4] on k=4: complement distances {0, 1}; the 4 singleton
-    # flip sets must be equally likely
-    cfg = _build_config(1.0, 4, 4, mpf("0.1"), 2, 4, mpf(4))
-    rng = np.random.default_rng(3)
-    b = ONES(4)
-    counts = {}
-    for _ in range(100_000):
-        out = sample_outside_annulus(b, cfg, rng)
-        counts[tuple(out)] = counts.get(tuple(out), 0) + 1
-    assert len(counts) == 5
-    singletons = [v for key, v in counts.items() if key.count(-1) == 1]
-    res = chi_square(singletons, [1, 1, 1, 1], significance=0.001)
+    # annulus [2, 4] on k=4: the rows at distance 0 or 1 all come from the
+    # outside-annulus resample, so every output must follow the exact table
+    cfg = _build_config(1.0, 4, mpf("0.1"), mpf(2), mpf(4))
+    table = exact_output_distribution(ONES(4), cfg)
+    batch = sample_composed_batch(cfg, 100_000, np.random.default_rng(3))
+    counts = np.bincount((batch == -1).astype(np.int64) @ (1 << np.arange(4)),
+                         minlength=16)
+    keys = list(table.probs)
+    masks = [sum(1 << i for i, x in enumerate(s) if x == -1) for s in keys]
+    res = chi_square(counts[masks], [float(table.probs[s]) for s in keys],
+                     significance=0.001)
     assert res.passed, res
 
 
-def test_compose_randomize_full_annulus_is_plain_rr():
+def test_full_annulus_is_plain_rr():
     # annulus [0, k]: the resampling branch is unreachable and the output
     # distance is Binomial(k, p)
     cfg = rr_config(6, 0.2, eps=1.2)
     assert cfg.annulus_full
-    rng = np.random.default_rng(11)
-    b = np.array([1, -1, 1, 1, -1, -1], dtype=np.int8)
     p = float(cfg.p)
-    hist = np.zeros(7, dtype=np.int64)
-    for _ in range(100_000):
-        out = compose_randomize(b, cfg, rng)
-        hist[int((out != b).sum())] += 1
+    batch = sample_composed_batch(cfg, 100_000, np.random.default_rng(11))
+    hist = np.bincount((batch == -1).sum(axis=1), minlength=7)
     weights = [math.comb(6, i) * p ** i * (1 - p) ** (6 - i) for i in range(7)]
     res = chi_square(hist, weights, significance=0.001)
     assert res.passed, res
 
 
 def test_compose_randomize_matches_exact_distribution():
+    # one draw per call: the n = 1 path, where a resampled row is the whole block
     cfg = futurerand_config(3, 1.0)
     table = exact_output_distribution(ONES(3), cfg)
     rng = np.random.default_rng(5)
     counts = {s: 0 for s in table.probs}
     draws = 200_000
     for _ in range(draws):
-        counts[tuple(int(x) for x in compose_randomize(ONES(3), cfg, rng))] += 1
+        row = sample_composed_batch(cfg, 1, rng)[0]
+        counts[tuple(int(x) for x in row)] += 1
     keys = list(table.probs)
     res = chi_square([counts[s] for s in keys],
                      [float(table.probs[s]) for s in keys], significance=0.001)
@@ -232,9 +217,6 @@ def test_sampling_determinism():
     a = sample_composed_batch(cfg, 1000, np.random.default_rng(42))
     b = sample_composed_batch(cfg, 1000, np.random.default_rng(42))
     assert np.array_equal(a, b)
-    x = compose_randomize(ONES(8), cfg, np.random.default_rng(9))
-    y = compose_randomize(ONES(8), cfg, np.random.default_rng(9))
-    assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +226,13 @@ def test_sampling_determinism():
 def test_gap_full_annulus_equals_rr_gap():
     cfg = rr_config(5, 0.3, eps=1.5)
     expected = (mp.exp(mpf("0.3")) - 1) / (mp.exp(mpf("0.3")) + 1)
-    assert abs(gap(cfg) - expected) < mpf("1e-12")
+    assert abs(cfg.gap - expected) < mpf("1e-12")
 
 
 def test_gap_matches_enumerated_marginal():
     cfg = futurerand_config(4, 1.0)
     table = exact_output_distribution(ONES(4), cfg)
-    assert abs(gap(cfg) - table.marginal_gap(0)) < mpf("1e-10")
+    assert abs(cfg.gap - table.marginal_gap(0)) < mpf("1e-10")
 
 
 def test_gap_forms_agree_up_to_large_k():
@@ -264,10 +246,10 @@ def test_gap_scaling_constant():
     # gap * sqrt(k) / eps stays above a fixed constant on the tested grid
     for k in (16, 64, 256):
         cfg = futurerand_config(k, 1.0)
-        assert gap(cfg) >= mpf("0.05") / mp.sqrt(mpf(k))
+        assert cfg.gap >= mpf("0.05") / mp.sqrt(mpf(k))
         lower = gap_lower_bound_expr(cfg)
         if lower is not None:
-            assert gap(cfg) >= lower >= mpf("0.02") / mp.sqrt(mpf(k))
+            assert cfg.gap >= lower >= mpf("0.02") / mp.sqrt(mpf(k))
 
 
 def test_gap_lower_bound_examples():
@@ -275,7 +257,7 @@ def test_gap_lower_bound_examples():
     for k in (64, 256):
         cfg = futurerand_config(k, 1.0)
         lower = gap_lower_bound_expr(cfg)
-        assert lower is not None and lower <= gap(cfg)
+        assert lower is not None and lower <= cfg.gap
     # degenerate range at small k: not applicable rather than an error
     assert gap_lower_bound_expr(futurerand_config(4, 1.0)) is None
     # the identity g(ub_real) = 2^-k does not hold for plain RR configs
@@ -304,7 +286,6 @@ def test_table_ratio_below_e_eps():
 def test_distance_law_ratio_at_enumeration_limit():
     # the output law takes one value per distance class, so its spread
     # bounds the worst pair ratio; checked at the k = 12 audit limit
-    from ldptrack.randomizer import distance_law
     for eps in (0.25, 1.0):
         law = distance_law(futurerand_config(12, eps))
         assert max(law) / min(law) <= mp.exp(mpf(eps)) * (1 + mpf("1e-9"))
@@ -323,7 +304,7 @@ def test_coordinate_gap_uniform_across_coords_and_inputs():
     # the per-coordinate preservation gap is the same for every coordinate
     # and every input vector
     cfg = futurerand_config(4, 0.5)
-    g_val = gap(cfg)
+    g_val = cfg.gap
     rng = np.random.default_rng(2)
     for _ in range(4):
         b = (rng.integers(0, 2, size=4).astype(np.int8) * 2 - 1)
