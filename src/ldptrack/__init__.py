@@ -4,8 +4,8 @@ Clients hold Boolean values that change at most k times over d steps; the
 server continually estimates how many users hold 1, under local
 differential privacy.  The package provides the dyadic client/server
 protocol, a composed randomizer whose per-coordinate preservation gap
-scales as eps / sqrt(k), three baseline randomizers, exact enumeration
-audits of the privacy guarantee, and a Monte-Carlo benchmarking harness.
+scales as eps / sqrt(k), three baseline randomizers, exact audits of the
+privacy guarantee, and a Monte-Carlo benchmarking harness.
 """
 
 from .baselines import (ALGORITHMS, AlgorithmConfig, algorithm_config, bns19_config,

@@ -1,9 +1,10 @@
-"""Exact privacy and gap verification by enumeration, plus statistical testers.
+"""Exact privacy audits and gap verification, plus statistical testers.
 
 The randomizer's output law depends on the input only through the Hamming
-distance, so worst-case probability ratios over all input pairs and
-outputs reduce to scans over distance classes; the scans below keep exact
-extended-precision values end to end and report concrete witnesses.
+distance, so its worst-case ratio over all input pairs and the client
+audit's prefix marginals are both read off that distance law in closed
+form; values stay in extended precision end to end and reports carry
+concrete witnesses.
 """
 
 from __future__ import annotations
@@ -14,16 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy import stats
 
 from .baselines import AlgorithmConfig, algorithm_config
 from .dyadic import DerivativeStream, DyadicInterval, derive, order_support, partial_sum
 from .errors import CapacityError
-from .randomizer import (DistributionTable, RandomizerConfig, distance_law,
-                         exact_output_distribution, gap_lower_bound_expr,
-                         sample_composed_batch, _unpack_signs)
+from .randomizer import (RandomizerConfig, distance_law, exact_output_distribution,
+                         gap_lower_bound_expr, sample_composed_batch)
 
-AUDIT_K = 12          # full input-pair enumeration bound
+AUDIT_K = 12          # enumeration bound of verify_gap's table leg
 CLIENT_AUDIT_D = 8    # client-level audit bounds
 CLIENT_AUDIT_K = 4
 
@@ -69,58 +68,44 @@ class AuditReport:
 def audit_randomizer(cfg: RandomizerConfig) -> AuditReport:
     """Max probability ratio of the composed randomizer over all input pairs.
 
-    Every input's output table is a permutation of the same distance law,
-    so the law is checked once for unit mass, sum_i C(k, i) law[i] = 1;
-    then all (input, input', output) triples over the 2^k inputs are
-    scanned through the distance classes.
+    The output law depends on the input only through the Hamming distance,
+    P[s | x] = law[dist(s, x)], and every pair of distances (i, j) occurs:
+    s = 1^k with x holding i leading -1s and x' holding j.  So the ratios
+    P[s | x] / P[s | x'] are exactly law[i] / law[j] over all (i, j), and
+    the worst one is max(law) / min(law).  The law is checked once for
+    unit mass, sum_i C(k, i) law[i] = 1.  O(k) at any k.
     """
     k = cfg.k
-    if k > AUDIT_K:
-        raise CapacityError(f"k={k} above enumeration bound {AUDIT_K}")
-    masks = np.arange(1 << k, dtype=np.uint32)
     law = distance_law(cfg)
     mass = sum((math.comb(k, i) * law[i] for i in range(k + 1)), mpf(0))
     if abs(mass - 1) > mpf("1e-12"):
         raise ArithmeticError(f"distance law mass {mass} deviates from 1")
-    order = sorted(range(k + 1), key=lambda i: law[i])  # distances by ascending prob
-    rank_of = np.empty(k + 1, dtype=np.int64)
-    for r, i in enumerate(order):
-        rank_of[i] = r
-
-    dist = np.bitwise_count(masks[:, None] ^ masks[None, :])
-    ranks = rank_of[dist]
-    hi = ranks.max(axis=0)
-    lo = ranks.min(axis=0)
-    best_ratio = mpf(1)
-    best = None
-    for a, b in set(zip(hi.tolist(), lo.tolist())):
-        ratio = law[order[a]] / law[order[b]]
-        if ratio > best_ratio or best is None:
-            best_ratio = ratio
-            best = (a, b)
-    cols = np.nonzero((hi == best[0]) & (lo == best[1]))[0]
-    s = int(cols[0])
-    row_hi = int(np.nonzero(ranks[:, s] == best[0])[0][0])
-    row_lo = int(np.nonzero(ranks[:, s] == best[1])[0][0])
+    hi = max(range(k + 1), key=law.__getitem__)
+    lo = min(range(k + 1), key=law.__getitem__)
     worst = {
-        "input": list(_unpack_signs(int(masks[row_hi]), k)),
-        "input_alt": list(_unpack_signs(int(masks[row_lo]), k)),
-        "output": list(_unpack_signs(s, k)),
+        "input": [-1] * hi + [1] * (k - hi),
+        "input_alt": [-1] * lo + [1] * (k - lo),
+        "output": [1] * k,
     }
-    return AuditReport.from_ratio(cfg.eps, best_ratio, worst)
+    return AuditReport.from_ratio(cfg.eps, law[hi] / law[lo], worst)
 
 
 # ---------------------------------------------------------------------------
 # client-level audit
 
 
-def _marginal_masses(table: DistributionTable, m: int) -> dict[tuple[int, ...], mpf]:
-    """Mass of the table collapsed onto its first m coordinates."""
-    out: dict[tuple[int, ...], mpf] = {}
-    for s, pr in table.probs.items():
-        key = s[:m]
-        out[key] = out.get(key, mpf(0)) + pr
-    return out
+def _prefix_masses(cfg: RandomizerConfig) -> list[list[mpf]]:
+    """masses[m][j]: probability that the first m coordinates of the noise
+    vector (drawn on 1^k) equal one given pattern holding j minus-ones.
+
+    The remaining k - m coordinates are free; with r minus-ones among them
+    the total distance is j + r, so the mass is sum_r C(k - m, r) law[j + r].
+    """
+    k = cfg.k
+    law = distance_law(cfg)
+    return [[sum((math.comb(k - m, r) * law[j + r] for r in range(k - m + 1)), mpf(0))
+             for j in range(m + 1)]
+            for m in range(k + 1)]
 
 
 def _client_distribution(alg: AlgorithmConfig, d: int,
@@ -148,9 +133,7 @@ def _client_distribution(alg: AlgorithmConfig, d: int,
                         acc += uniform_all
                 probs[(h, omega)] = order_prob * acc / alg.k
     else:
-        table = exact_output_distribution(np.ones(alg.k, dtype=np.int8),
-                                          alg.randomizer)
-        margs = {m: _marginal_masses(table, m) for m in range(alg.k + 1)}
+        masses = _prefix_masses(alg.randomizer)
         for h in range(num_orders):
             L = d >> h
             support = order_support(stream, h)
@@ -159,8 +142,8 @@ def _client_distribution(alg: AlgorithmConfig, d: int,
             m = len(support)
             base = order_prob * mpf(2) ** (-(L - m))
             for omega in itertools.product((-1, 1), repeat=L):
-                pattern = tuple(omega[j - 1] * signs[i] for i, j in enumerate(support))
-                probs[(h, omega)] = base * margs[m][pattern]
+                minus = sum(omega[j - 1] != signs[i] for i, j in enumerate(support))
+                probs[(h, omega)] = base * masses[m][minus]
     total = sum(probs.values(), mpf(0))
     if abs(total - 1) > mpf("1e-12"):
         raise ArithmeticError(f"client distribution mass {total} deviates from 1")
@@ -342,6 +325,7 @@ def chi_square(observed, expected, significance: float) -> ChiSquareResult:
     e_arr = np.array(merged_e)
     statistic = float(((o_arr - e_arr) ** 2 / e_arr).sum())
     dof = len(e_arr) - 1
-    p_value = float(stats.chi2.sf(statistic, dof))
+    # chi-square survival function: regularized upper incomplete gamma Q(dof/2, x/2)
+    p_value = float(mp.gammainc(mpf(dof) / 2, mpf(statistic) / 2, regularized=True))
     return ChiSquareResult(statistic=statistic, dof=dof, p_value=p_value,
                            passed=p_value >= significance)

@@ -36,17 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    """An algorithm tag with its derived randomizer parameters.
-
-    ``server_factor`` multiplies the server's estimator scale (k for the
-    sample-one baseline, 1 otherwise); ``keep_one`` marks the client-side
-    transform that keeps at most one change.
-    """
+    """An algorithm tag with its derived randomizer parameters."""
 
     tag: str
     randomizer: RandomizerConfig
-    server_factor: int = 1
-    keep_one: bool = False
 
     def __post_init__(self) -> None:
         if self.tag not in ALGORITHMS:
@@ -63,6 +56,16 @@ class AlgorithmConfig:
     @property
     def k(self) -> int:
         return self.randomizer.k
+
+    @property
+    def keep_one(self) -> bool:
+        """The client-side transform that keeps at most one change (sample-one)."""
+        return self.tag == "sample_one"
+
+    @property
+    def server_factor(self) -> int:
+        """Multiplier of the server's estimator scale: k for sample-one, else 1."""
+        return self.k if self.keep_one else 1
 
 
 def futurerand_algorithm(k: int, eps: float) -> AlgorithmConfig:
@@ -86,8 +89,7 @@ def sample_one_config(k: int, eps: float) -> AlgorithmConfig:
     server's extra factor k makes the estimator unbiased for every user.
     """
     rand = rr_config(k, mpf(eps) / 2, eps=eps)
-    return AlgorithmConfig(tag="sample_one", randomizer=rand,
-                           server_factor=k, keep_one=True)
+    return AlgorithmConfig(tag="sample_one", randomizer=rand)
 
 
 def bns19_config(k: int, eps: float) -> AlgorithmConfig:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .audit import audit_client_sweep, audit_randomizer
 from .baselines import ALGORITHMS, algo_tag, algorithm_config, client_randomizer
+from .engine import CHANGE_MODELS
 from .errors import ConfigError
 from .harness import ExperimentSpec, run_experiment, scaling_study
 from .randomizer import gap_lower_bound_expr
@@ -51,8 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", type=str, default=None,
                      help="write JSON summary here (per-t CSV lands beside it)")
-    sim.add_argument("--change-model", choices=("uniform", "exactly_k", "bursty"),
-                     default="uniform")
+    sim.add_argument("--change-model", choices=CHANGE_MODELS, default="uniform")
     sim.add_argument("--dump-reports", type=str, default=None,
                      help="write the first repetition's raw report records (NDJSON)")
 

@@ -26,7 +26,6 @@ from .errors import CapacityError, ConfigError
 # Quadruple-equivalent precision everywhere probabilities are manipulated.
 mp.dps = 50
 
-MAX_EXACT_K = 4096  # exact big-integer binomials are used up to this k
 ENUMERATION_K = 20  # full 2^k output tables are built up to this k
 BATCH_CHUNK = 1 << 16  # rows per block of uniform words in sample_composed_batch
 
@@ -241,8 +240,8 @@ def gap_lower_bound_expr(cfg: RandomizerConfig) -> mpf | None:
 
 def _complement_probs_float(cfg: RandomizerConfig) -> tuple[np.ndarray, np.ndarray]:
     dists, weights = complement_distances(cfg.k, cfg.lb, cfg.ub)
-    total = mpf(sum(weights))
-    probs = np.array([float(mpf(c) / total) for c in weights], dtype=np.float64)
+    total = sum(weights)
+    probs = np.array([c / total for c in weights], dtype=np.float64)  # int/int rounds once
     probs /= probs.sum()
     return np.array(dists, dtype=np.int64), probs
 
@@ -291,18 +290,11 @@ def sample_composed_batch(cfg: RandomizerConfig, n: int,
 # exact enumeration oracle
 
 
-def _as_sign_array(b) -> np.ndarray:
-    arr = np.asarray(b, dtype=np.int8)
-    if arr.ndim != 1 or not np.all((arr == 1) | (arr == -1)):
-        raise ValueError("sign vector must be 1-d with entries -1 or +1")
-    return arr
-
-
 def _pack_signs(b, k: int) -> int:
     """Bit mask of a length-k sign vector: bit i is set where b[i] = -1."""
-    b = _as_sign_array(b)
-    if len(b) != k:
-        raise ValueError(f"expected length {k}, got {len(b)}")
+    b = np.asarray(b, dtype=np.int8)
+    if b.shape != (k,) or not np.all((b == 1) | (b == -1)):
+        raise ValueError(f"expected a length-{k} vector of -1/+1 entries, got {b.tolist()}")
     return sum(1 << i for i in range(k) if b[i] == -1)
 
 

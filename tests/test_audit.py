@@ -1,15 +1,19 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from ldptrack.audit import (audit_client, audit_client_sweep, audit_randomizer,
                             chi_square, enumerate_streams, verify_gap,
-                            _client_distribution)
-from ldptrack.baselines import algorithm_config, make_client, naive_config
+                            _client_distribution, _prefix_masses)
+from ldptrack.baselines import (ALGORITHMS, algorithm_config, client_randomizer,
+                                make_client, naive_config)
 from ldptrack.dyadic import derive
-from ldptrack.errors import CapacityError
+from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.protocol import client_step
-from ldptrack.randomizer import futurerand_config, rr_config
+from ldptrack.randomizer import exact_output_distribution, futurerand_config, rr_config
 
 
 def test_audit_plain_rr_ratio_is_exactly_e_eps_tilde():
@@ -34,9 +38,50 @@ def test_audit_randomizer_naive_baseline():
     assert report.max_ratio <= mp.exp(mpf(1)) * (1 + mpf("1e-30"))
 
 
-def test_audit_randomizer_capacity():
-    with pytest.raises(CapacityError):
-        audit_randomizer(futurerand_config(13, 1.0))
+def _brute_force_ratio(cfg):
+    """max over outputs s of max_x P(s|x) / min_x P(s|x), from all 2^k tables."""
+    k = cfg.k
+    tables = [exact_output_distribution(x, cfg).probs
+              for x in itertools.product((-1, 1), repeat=k)]
+    return max(max(t[s] for t in tables) / min(t[s] for t in tables)
+               for s in tables[0])
+
+
+def _buildable_randomizers(ks, eps_grid, algos=ALGORITHMS):
+    for algo in algos:
+        for k in ks:
+            for eps in eps_grid:
+                try:
+                    yield client_randomizer(algorithm_config(algo, k, eps))
+                except ConfigError:
+                    continue
+
+
+def test_audit_randomizer_matches_brute_force_over_all_inputs():
+    cfgs = list(_buildable_randomizers(range(1, 7), (0.25, 0.5, 1.0)))
+    cfgs += list(_buildable_randomizers((8,), (0.25, 0.5, 1.0), ("futurerand", "bns19")))
+    assert len(cfgs) > 40
+    for cfg in cfgs:
+        report = audit_randomizer(cfg)
+        expected = _brute_force_ratio(cfg)
+        assert abs(report.max_ratio - expected) <= mpf("1e-12") * expected, (cfg.k, cfg.eps)
+        # the witness attains the reported ratio
+        w = report.worst_case
+        out = tuple(w["output"])
+        ratio = (exact_output_distribution(w["input"], cfg).probs[out]
+                 / exact_output_distribution(w["input_alt"], cfg).probs[out])
+        assert abs(ratio - report.max_ratio) <= mpf("1e-30") * ratio
+
+
+@pytest.mark.parametrize("k", [64, 256, 1024])
+def test_audit_randomizer_large_k(k):
+    for algo in ("futurerand", "bns19", "naive", "sample_one"):
+        for eps in (0.25, 0.5, 1.0):
+            cfg = client_randomizer(algorithm_config(algo, k, eps))
+            report = audit_randomizer(cfg)
+            assert report.passed, (algo, k, eps, float(report.max_ratio))
+            assert report.max_ratio <= mp.exp(mpf(eps)) * (1 + mpf("1e-9"))
+            assert len(report.worst_case["output"]) == cfg.k
 
 
 def test_audit_report_json_schema():
@@ -135,6 +180,20 @@ def test_client_distribution_matches_empirical_sampler_sample_one():
     assert res.passed, res
 
 
+def test_prefix_masses_match_collapsed_table():
+    for cfg in _buildable_randomizers(range(1, 7), (0.25, 1.0), ("futurerand", "naive", "bns19")):
+        k = cfg.k
+        table = exact_output_distribution(np.ones(k, dtype=np.int8), cfg).probs
+        masses = _prefix_masses(cfg)
+        for m in range(k + 1):
+            collapsed = {}
+            for s, pr in table.items():
+                collapsed[s[:m]] = collapsed.get(s[:m], mpf(0)) + pr
+            assert len(collapsed) == 2 ** m
+            for prefix, mass in collapsed.items():
+                assert abs(masses[m][prefix.count(-1)] - mass) <= mpf("1e-30"), (k, m, prefix)
+
+
 def test_bounded_support_uses_prefix_marginal():
     # a stream with a single change uses only the first noise coordinate:
     # its output law factorizes into 2^-(L-1) times the first-coordinate
@@ -188,6 +247,16 @@ def test_chi_square_exact_match():
 def test_chi_square_detects_skew():
     res = chi_square([900_000, 100_000], [1, 1], significance=0.001)
     assert not res.passed
+
+
+def test_chi_square_p_value_closed_forms():
+    # dof 1: P[chi2_1 > x] = erfc(sqrt(x/2)); dof 2: exp(-x/2)
+    res = chi_square([60, 40], [1, 1], significance=0.001)
+    assert res.dof == 1 and res.statistic == 4.0
+    assert math.isclose(res.p_value, math.erfc(math.sqrt(2.0)), rel_tol=1e-12)
+    res = chi_square([50, 30, 20], [1, 1, 1], significance=0.001)
+    assert res.dof == 2
+    assert math.isclose(res.p_value, math.exp(-res.statistic / 2), rel_tol=1e-12)
 
 
 def test_chi_square_bin_merging():

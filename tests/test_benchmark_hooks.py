@@ -1,10 +1,14 @@
-"""The program attributes that traced benchmark runs wrap must exist.
+"""The program attributes that traced benchmark runs wrap must exist, and
+importing the package stays cheap.
 
 perfbench/worker.py swaps module attributes of the package for timed
 wrappers; a renamed or deleted function would otherwise surface only
-when a traced benchmark run breaks.
+when a traced benchmark run breaks.  Every workload's setup time starts
+with ``import ldptrack``, so heavy imports are guarded here too.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +26,10 @@ def test_workload_targets_exist_and_are_callable(name):
     assert targets
     for module, attr, _span, _count in targets:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_import_does_not_pull_in_scipy():
+    env = dict(os.environ, PYTHONPATH=str(BENCH.parent / "src"))
+    subprocess.run([sys.executable, "-c",
+                    "import ldptrack, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)

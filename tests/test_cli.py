@@ -61,6 +61,15 @@ def test_audit_randomizer_command(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("algo", ["futurerand", "bns19", "naive", "sample-one"])
+def test_audit_randomizer_command_at_k_1024(capsys, algo):
+    code = main(["audit", "randomizer", "--k", "1024", "--eps", "1", "--algo", algo])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True
+    assert payload["max_ratio"] <= math.e * (1 + 1e-9)
+
+
 def test_audit_client_command(capsys):
     code = main(["audit", "client", "--d", "4", "--k", "2", "--eps", "1.0",
                  "--pairs", "5", "--seed", "1"])
