@@ -98,14 +98,15 @@ def _prefix_masses(cfg: RandomizerConfig) -> list[list[mpf]]:
     """masses[m][j]: probability that the first m coordinates of the noise
     vector (drawn on 1^k) equal one given pattern holding j minus-ones.
 
-    The remaining k - m coordinates are free; with r minus-ones among them
-    the total distance is j + r, so the mass is sum_r C(k - m, r) law[j + r].
+    A full vector at distance j has mass law[j]; a length-m prefix sums its
+    two extensions by coordinate m + 1: masses[m][j] = masses[m + 1][j] +
+    masses[m + 1][j + 1], which is sum_r C(k - m, r) law[j + r], in O(k^2).
     """
-    k = cfg.k
-    law = distance_law(cfg)
-    return [[sum((math.comb(k - m, r) * law[j + r] for r in range(k - m + 1)), mpf(0))
-             for j in range(m + 1)]
-            for m in range(k + 1)]
+    masses = [distance_law(cfg)]
+    for _ in range(cfg.k):
+        longer = masses[-1]
+        masses.append([a + b for a, b in zip(longer, longer[1:])])
+    return masses[::-1]
 
 
 def _client_distribution(alg: AlgorithmConfig, d: int,

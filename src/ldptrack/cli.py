@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error (also argparse usage errors),
-3 audit failure.
+Exit codes: 0 success, 2 configuration or protocol error (also argparse
+usage errors and malformed report records), 3 audit failure.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import numpy as np
 from .audit import audit_client_sweep, audit_randomizer
 from .baselines import ALGORITHMS, algo_tag, algorithm_config, client_randomizer
 from .engine import CHANGE_MODELS
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 from .harness import ExperimentSpec, run_experiment, scaling_study
+from .protocol import read_reports, replay
 from .randomizer import gap_lower_bound_expr
 
 EXIT_OK = 0
@@ -79,6 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--k", type=int, required=True)
     gp.add_argument("--eps", type=float, required=True)
     gp.add_argument("--algo", type=algo_tag, choices=ALGORITHMS, default="futurerand")
+
+    agg = sub.add_parser("aggregate", help="server estimates from dumped report records")
+    agg.add_argument("--reports", type=str, required=True, help="NDJSON report records")
+    agg.add_argument("--d", type=int, required=True, help="horizon (power of two)")
+    agg.add_argument("--k", type=int, required=True, help="max changes per user")
+    agg.add_argument("--eps", type=float, required=True, help="privacy budget")
+    agg.add_argument("--algo", type=algo_tag, choices=ALGORITHMS, default="futurerand")
+    agg.add_argument("--out", type=str, default=None,
+                     help="write the t,fhat CSV here instead of stdout")
 
     sc = sub.add_parser("scaling", help="error-vs-k comparison across algorithms")
     sc.add_argument("--k-grid", type=_int_list, required=True,
@@ -148,6 +158,24 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cmd_aggregate(args: argparse.Namespace) -> int:
+    alg = algorithm_config(args.algo, args.k, args.eps, L=args.d)
+    with open(args.reports) as fp:
+        try:
+            records = read_reports(fp)
+        except ValueError as exc:
+            raise ProtocolError(f"{args.reports}: {exc}") from exc
+    estimates = replay(records, alg, args.d)
+    lines = ["t,fhat"] + [f"{t},{float(v)!r}" for t, v in enumerate(estimates, 1)]
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.out).write_text(text)
+    return EXIT_OK
+
+
 def _cmd_scaling(args: argparse.Namespace) -> int:
     base = ExperimentSpec(n=args.n, d=args.d, k=max(args.k_grid), eps=args.eps,
                           beta=args.beta, reps=args.reps, seed=args.seed)
@@ -163,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
+        "aggregate": _cmd_aggregate,
         "gap": _cmd_gap,
         "scaling": _cmd_scaling,
     }
@@ -174,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ProtocolError as exc:
+        print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

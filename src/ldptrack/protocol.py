@@ -12,9 +12,10 @@ decomposition of each time step.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 from mpmath import mpf
@@ -22,6 +23,9 @@ from mpmath import mpf
 from .dyadic import _check_horizon, decompose
 from .errors import ProtocolError, SparsityError
 from .randomizer import RandomizerConfig, sample_composed_batch
+
+if TYPE_CHECKING:
+    from .baselines import AlgorithmConfig
 
 __all__ = [
     "ClientState",
@@ -34,6 +38,7 @@ __all__ = [
     "server_step",
     "server_scale",
     "readout",
+    "replay",
     "write_reports",
     "read_reports",
 ]
@@ -195,6 +200,29 @@ def server_step(state: ServerState, t: int,
     return readout(state.scale, state.sums, t, state.d)
 
 
+def replay(records: Iterable[ReportRecord], alg: AlgorithmConfig, d: int) -> np.ndarray:
+    """Server estimates for t = 1..d from one run's report records.
+
+    Each user is registered at the order of its first record; a later
+    record at another order, or a time outside [1, d], raises
+    ProtocolError, as does everything server_step rejects (a report not
+    due, a duplicate, a missing due report).
+    """
+    server = server_init(d, alg.k, alg.eps, alg.gap, alg.server_factor)
+    due: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
+    for rec in records:
+        if not 1 <= rec.t <= d:
+            raise ProtocolError(f"report from user {rec.user} at t={rec.t} outside [1, {d}]")
+        h = server.h_of.get(rec.user)
+        if h is None:
+            server_register(server, rec.user, rec.h)
+        elif rec.h != h:
+            raise ProtocolError(f"user {rec.user} reports at order {rec.h} "
+                                f"after reporting at order {h}")
+        due[rec.t].append((rec.user, rec.bit))
+    return np.array([server_step(server, t, due[t]) for t in range(1, d + 1)])
+
+
 # ---------------------------------------------------------------------------
 # wire format: one NDJSON object per emitted bit
 
@@ -213,6 +241,8 @@ class ReportRecord:
     @classmethod
     def from_json(cls, line: str) -> "ReportRecord":
         obj = json.loads(line)
+        if type(obj) is not dict:
+            raise ValueError(f"record must be a JSON object, got {obj!r}")
         if set(obj) != {"user", "h", "t", "bit"}:
             raise ValueError(f"record keys {sorted(obj)} != ['bit', 'h', 't', 'user']")
         if any(type(v) is not int for v in obj.values()):
@@ -228,5 +258,48 @@ def write_reports(records: Sequence[ReportRecord], fp: IO[str]) -> None:
     fp.writelines(f"{rec.to_json()}\n" for rec in records)
 
 
+# The exact line ReportRecord.to_json writes, with ints of at most 18 digits
+# (so they fit int64); [0-9], since \d also matches non-ASCII digits.  Each
+# line has one parse, so a block that does not match fails in linear time.
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_CANONICAL_LINES = re.compile(
+    rf'(?:\{{"user": {_INT}, "h": {_INT}, "t": {_INT}, "bit": (?:-1|1)\}}\n)*')
+# what is left of a canonical line after this is its four ints
+_KEYS_TO_SPACES = str.maketrans(dict.fromkeys('{}":,behirstu', " "))
+_BLOCK_CHARS = 1 << 18
+
+
+def _blocks(fp: IO[str]) -> Iterator[str]:
+    """The text of fp as runs of whole lines, each ending in a newline and
+    at most _BLOCK_CHARS long unless a single line is longer."""
+    tail = ""
+    while chunk := fp.read(_BLOCK_CHARS - len(tail) if len(tail) < _BLOCK_CHARS
+                           else _BLOCK_CHARS):
+        tail += chunk
+        cut = tail.rfind("\n") + 1
+        if cut:
+            yield tail[:cut]
+            tail = tail[cut:]
+    if tail:
+        # a last line without its newline reads the same with one
+        yield tail + "\n"
+
+
 def read_reports(fp: IO[str]) -> list[ReportRecord]:
-    return [ReportRecord.from_json(line) for line in fp if line.strip()]
+    """Records of the non-blank lines of fp, read in blocks.
+
+    A block whose lines are all exactly as to_json writes them (the common
+    case) is parsed as one int64 array; any other block goes line by line
+    through from_json, which accepts every JSON object with exactly the
+    four int fields and raises ValueError for the rest.  Lines end where
+    the text fp.read returns has a newline.
+    """
+    records: list[ReportRecord] = []
+    for block in _blocks(fp):
+        if _CANONICAL_LINES.fullmatch(block):
+            ints = np.fromstring(block.translate(_KEYS_TO_SPACES), dtype=np.int64, sep=" ")
+            records.extend(map(ReportRecord, *ints.reshape(-1, 4).T.tolist()))
+        else:
+            records.extend(ReportRecord.from_json(line)
+                           for line in block.split("\n") if line.strip())
+    return records

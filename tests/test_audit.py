@@ -13,7 +13,8 @@ from ldptrack.baselines import (ALGORITHMS, algorithm_config, client_randomizer,
 from ldptrack.dyadic import derive
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.protocol import client_step
-from ldptrack.randomizer import exact_output_distribution, futurerand_config, rr_config
+from ldptrack.randomizer import (distance_law, exact_output_distribution, futurerand_config,
+                                 rr_config)
 
 
 def test_audit_plain_rr_ratio_is_exactly_e_eps_tilde():
@@ -192,6 +193,20 @@ def test_prefix_masses_match_collapsed_table():
             assert len(collapsed) == 2 ** m
             for prefix, mass in collapsed.items():
                 assert abs(masses[m][prefix.count(-1)] - mass) <= mpf("1e-30"), (k, m, prefix)
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_prefix_masses_fold_equals_closed_form_sum(k):
+    # masses[m][j] = sum_r C(k - m, r) law[j + r]: the O(k^3) form the fold replaced
+    for cfg in _buildable_randomizers((k,), (0.5, 1.0), ("futurerand", "naive", "bns19")):
+        law = distance_law(cfg)
+        masses = _prefix_masses(cfg)
+        assert [len(row) for row in masses] == list(range(1, k + 2))
+        for m in range(k + 1):
+            for j in range(m + 1):
+                direct = sum((math.comb(k - m, r) * law[j + r] for r in range(k - m + 1)),
+                             mpf(0))
+                assert abs(masses[m][j] - direct) <= mpf("1e-45") * direct, (cfg.k, m, j)
 
 
 def test_bounded_support_uses_prefix_marginal():

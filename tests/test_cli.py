@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -95,6 +96,61 @@ def test_dump_reports(tmp_path, capsys):
     with reports.open() as fp:
         records = read_reports(fp)
     assert records and all(r.bit in (-1, 1) for r in records)
+
+
+def _simulate_with_dump(tmp_path, algo):
+    reports = tmp_path / "reports.ndjson"
+    code = main(["simulate", "--n", "300", "--d", "16", "--k", "3", "--eps", "1.0",
+                 "--algo", algo, "--reps", "2", "--seed", "7",
+                 "--out", str(tmp_path / "run.json"), "--dump-reports", str(reports)])
+    assert code == 0
+    return reports
+
+
+def _column(path, name):
+    with path.open(newline="") as fp:
+        return [row[name] for row in csv.DictReader(fp)]
+
+
+@pytest.mark.parametrize("algo", ["futurerand", "sample-one"])
+def test_aggregate_reproduces_the_simulated_estimates(capsys, tmp_path, algo):
+    reports = _simulate_with_dump(tmp_path, algo)
+    est = tmp_path / "est.csv"
+    code = main(["aggregate", "--reports", str(reports), "--d", "16", "--k", "3",
+                 "--eps", "1.0", "--algo", algo, "--out", str(est)])
+    assert code == 0
+    fhat = _column(tmp_path / "run.csv", "fhat")
+    assert len(fhat) == 16
+    assert _column(est, "t") == [str(t) for t in range(1, 17)]
+    assert _column(est, "fhat") == fhat
+    capsys.readouterr()
+    # without --out the same CSV goes to stdout
+    main(["aggregate", "--reports", str(reports), "--d", "16", "--k", "3",
+          "--eps", "1.0", "--algo", algo])
+    assert capsys.readouterr().out == est.read_text()
+
+
+def test_aggregate_rejects_a_record_with_another_order(capsys, tmp_path):
+    reports = _simulate_with_dump(tmp_path, "futurerand")
+    lines = reports.read_text().splitlines(keepends=True)
+    # the second record of a user whose first record is just before it
+    i = next(i for i in range(1, len(lines))
+             if json.loads(lines[i])["user"] == json.loads(lines[i - 1])["user"])
+    rec = json.loads(lines[i])
+    rec["h"] = (rec["h"] + 1) % 5
+    lines[i] = json.dumps(rec) + "\n"
+    reports.write_text("".join(lines))
+    capsys.readouterr()
+    code = main(["aggregate", "--reports", str(reports), "--d", "16", "--k", "3",
+                 "--eps", "1.0"])
+    assert code == 2
+    assert "protocol error" in capsys.readouterr().err
+    # a malformed record is a protocol error too
+    reports.write_text('{"user": 1, "h": 0, "t": 1, "bit": 2}\n')
+    code = main(["aggregate", "--reports", str(reports), "--d", "16", "--k", "3",
+                 "--eps", "1.0"])
+    assert code == 2
+    assert "protocol error" in capsys.readouterr().err
 
 
 def test_scaling_command(capsys, tmp_path):

@@ -12,7 +12,7 @@ from ldptrack.engine import (CHANGE_MODELS, PURPOSE_POPULATION, SHARD,
                              sample_changes, simulate_rep, substream,
                              truth_from_changes)
 from ldptrack.errors import SparsityError
-from ldptrack.protocol import server_init, server_register, server_step
+from ldptrack.protocol import replay
 
 
 def _subset_histogram(times: np.ndarray, d: int, c: int) -> np.ndarray:
@@ -65,16 +65,6 @@ def test_sampler_edge_cases_and_layout():
         assert not times[~valid].any(), model
 
 
-def _replay(alg, d, reports) -> np.ndarray:
-    server = server_init(d, alg.k, alg.eps, alg.gap, alg.server_factor)
-    due = [[] for _ in range(d + 1)]
-    for rec in reports:
-        if rec.user not in server.h_of:
-            server_register(server, rec.user, rec.h)
-        due[rec.t].append((rec.user, rec.bit))
-    return np.array([server_step(server, t, due[t]) for t in range(1, d + 1)])
-
-
 @pytest.mark.parametrize("n", [5, SHARD + 3, 2 * SHARD])
 def test_shards_cover_every_user_once(n, monkeypatch):
     sizes = []
@@ -99,7 +89,7 @@ def test_shards_cover_every_user_once(n, monkeypatch):
     order = {r.user: r.h for r in out.reports}
     assert sorted(order) == list(range(n))
     assert len(out.reports) == sum(d >> h for h in order.values())
-    assert np.array_equal(_replay(alg, d, out.reports), out.estimates)
+    assert np.array_equal(replay(out.reports, alg, d), out.estimates)
     # without reports the population is the same; the zero windows' coins differ
     plain = simulate_rep(alg, n, d, seed=4, rep=1)
     assert np.array_equal(plain.truth, out.truth)

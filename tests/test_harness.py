@@ -15,8 +15,7 @@ from ldptrack.engine import (sample_changes, simulate_rep, substream,
                              truth_from_changes)
 from ldptrack.harness import (ExperimentSpec, gen_population, regime_ok,
                               run_experiment, run_reference, scaling_study)
-from ldptrack.protocol import (read_reports, server_init, server_register,
-                               server_scale, server_step)
+from ldptrack.protocol import read_reports, replay, server_scale
 
 
 def test_spec_validation():
@@ -227,13 +226,7 @@ def test_engine_estimates_equal_server_replay_of_its_reports(algo):
     d = 512
     alg = algorithm_config(algo, 16, 1.0, L=d)
     out = simulate_rep(alg, 2000, d, seed=5, rep=0, collect_reports=True)
-    server = server_init(d, alg.k, alg.eps, alg.gap, alg.server_factor)
-    due = [[] for _ in range(d + 1)]
-    for rec in out.reports:
-        if rec.user not in server.h_of:
-            server_register(server, rec.user, rec.h)
-        due[rec.t].append((rec.user, rec.bit))
-    replayed = np.array([server_step(server, t, due[t]) for t in range(1, d + 1)])
+    replayed = replay(out.reports, alg, d)
     assert np.array_equal(replayed, out.estimates)
 
 

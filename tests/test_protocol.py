@@ -1,15 +1,22 @@
 import io
 import json
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
+from ldptrack import protocol
 from ldptrack.audit import chi_square
+from ldptrack.baselines import algorithm_config
 from ldptrack.dyadic import derive
+from ldptrack.engine import simulate_rep
 from ldptrack.errors import ProtocolError, SparsityError
 from ldptrack.protocol import (ReportRecord, client_init, client_step,
-                               read_reports, server_init, server_register,
+                               read_reports, replay, server_init, server_register,
                                server_step, write_reports)
 from ldptrack.randomizer import futurerand_config
 
@@ -200,6 +207,39 @@ def test_identity_channel_round():
     assert np.array_equal(averaged, np.array(truth, dtype=float))
 
 
+def _engine_reports():
+    alg = algorithm_config("futurerand", 2, 1.0, L=8)
+    return alg, simulate_rep(alg, 40, 8, seed=11, rep=0, collect_reports=True)
+
+
+def test_replay_equals_engine_estimates():
+    alg, out = _engine_reports()
+    assert np.array_equal(replay(out.reports, alg, 8), out.estimates)
+    # the server does not depend on the order records arrive in
+    assert np.array_equal(replay(out.reports[::-1], alg, 8), out.estimates)
+
+
+def test_replay_rejects_inconsistent_records():
+    alg, out = _engine_reports()
+    recs = out.reports
+    # a later record of a user at another order than its first
+    i = next(i for i, r in enumerate(recs) if i and recs[i - 1].user == r.user)
+    forged = replace(recs[i], h=(recs[i].h + 1) % 4)
+    with pytest.raises(ProtocolError, match="order"):
+        replay(recs[:i] + [forged] + recs[i + 1:], alg, 8)
+    for t in (0, 9, -8):
+        with pytest.raises(ProtocolError, match="outside"):
+            replay(recs + [replace(recs[0], t=t)], alg, 8)
+    # and what server_step rejects
+    with pytest.raises(ProtocolError, match="duplicate"):
+        replay(recs + [recs[0]], alg, 8)
+    with pytest.raises(ProtocolError, match="missing"):
+        replay(recs[1:], alg, 8)
+    odd = next(r for r in recs if r.h > 0)
+    with pytest.raises(ProtocolError, match="no report due"):
+        replay(recs + [replace(odd, t=odd.t - 1)], alg, 8)
+
+
 # ---------------------------------------------------------------------------
 # wire format
 
@@ -230,6 +270,10 @@ def test_report_record_rejects_bad_payload():
         ReportRecord.from_json('{"user": 1, "h": 0, "t": 2.9, "bit": 1}')
     with pytest.raises(ValueError):
         ReportRecord.from_json('{"user": 1, "h": 0, "t": 1, "bit": true}')
+    # a JSON value that is not an object
+    for line in ("1", "null", '"user"', '[1, "a"]'):
+        with pytest.raises(ValueError, match="JSON object"):
+            ReportRecord.from_json(line)
 
 
 def test_write_reports_exact_bytes():
@@ -247,3 +291,115 @@ def test_write_reports_exact_bytes():
     for rec in records:
         assert rec.to_json() == json.dumps(
             {"user": rec.user, "h": rec.h, "t": rec.t, "bit": rec.bit})
+
+
+def _line_by_line(text):
+    """What read_reports returns when every line goes through from_json."""
+    return [ReportRecord.from_json(line) for line in io.StringIO(text) if line.strip()]
+
+
+def _assert_reads_like_from_json(text):
+    try:
+        expected = _line_by_line(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            read_reports(io.StringIO(text))
+    else:
+        assert read_reports(io.StringIO(text)) == expected
+
+
+_FIELDS = ("user", "h", "t", "bit")
+
+
+def _mutate(text, kind, data):
+    lines = text.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    obj = json.loads(lines[i])
+    key = data.draw(st.sampled_from(_FIELDS))
+    if kind == "reordered keys":
+        keys = data.draw(st.permutations(_FIELDS))
+        lines[i] = json.dumps({f: obj[f] for f in keys}) + "\n"
+    elif kind == "compact separators":
+        lines[i] = json.dumps(obj, separators=(",", ":")) + "\n"
+    elif kind == "non-int field":
+        obj[key] = data.draw(st.sampled_from([1.0, "1", True, None, [1]]))
+        lines[i] = json.dumps(obj) + "\n"
+    elif kind == "bit 2":
+        lines[i] = json.dumps({**obj, "bit": 2}) + "\n"
+    elif kind == "missing key":
+        del obj[key]
+        lines[i] = json.dumps(obj) + "\n"
+    elif kind == "extra key":
+        lines[i] = json.dumps({**obj, "x": 0}) + "\n"
+    elif kind == "blank line":
+        lines.insert(i, data.draw(st.sampled_from(["\n", "  \n", "\t\n"])))
+    elif kind == "no final newline":
+        lines[-1] = lines[-1].rstrip("\n")
+    elif kind == "CRLF":
+        lines = [line.replace("\n", "\r\n") for line in lines]
+    elif kind == "user 2**70":
+        lines[i] = json.dumps({**obj, "user": 2 ** 70}) + "\n"
+    elif kind == "not an object":
+        lines[i] = json.dumps(data.draw(st.sampled_from([1, None, "x", list(obj.values())]))) + "\n"
+    elif kind == "split record":
+        cut = data.draw(st.integers(1, len(lines[i]) - 2))
+        lines[i] = lines[i][:cut] + "\n" + lines[i][cut:]
+    return "".join(lines)
+
+
+_RECORDS = st.lists(st.builds(
+    ReportRecord,
+    user=st.one_of(st.integers(0, 10 ** 6), st.integers(-(2 ** 64), 2 ** 64)),
+    h=st.integers(0, 12),
+    t=st.one_of(st.integers(1, 4096), st.integers(-(10 ** 19), 10 ** 19)),
+    bit=st.sampled_from([-1, 1])), min_size=1, max_size=30)
+
+
+@given(_RECORDS, st.sampled_from(["none", "reordered keys", "compact separators",
+                                  "non-int field", "bit 2", "missing key", "extra key",
+                                  "blank line", "no final newline", "CRLF",
+                                  "user 2**70", "not an object", "split record"]),
+       st.sampled_from([1, 16, 64, 1 << 18]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_reports_equals_from_json_line_by_line(records, kind, block_chars, data):
+    buf = io.StringIO()
+    write_reports(records, buf)
+    text = buf.getvalue()
+    if kind == "none":
+        assert read_reports(io.StringIO(text)) == records
+    else:
+        text = _mutate(text, kind, data)
+    # small blocks put block ends inside records and lines longer than a block
+    with mock.patch.object(protocol, "_BLOCK_CHARS", block_chars):
+        _assert_reads_like_from_json(text)
+
+
+def test_read_reports_across_blocks_with_a_noncanonical_line(tmp_path):
+    rng = np.random.default_rng(3)
+    records = [ReportRecord(int(u), int(h), int(t), int(b)) for u, h, t, b in zip(
+        rng.integers(0, 10 ** 12, 30_000), rng.integers(0, 10, 30_000),
+        rng.integers(1, 1024, 30_000), rng.choice([-1, 1], 30_000))]
+    buf = io.StringIO()
+    write_reports(records, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert len(buf.getvalue()) > 4 * protocol._BLOCK_CHARS
+    mid = len(lines) // 2
+    lines[mid] = json.dumps(json.loads(lines[mid]), separators=(",", ":")) + "\n"
+    lines.insert(mid + 5, "\n")
+    text = "".join(lines)
+    assert read_reports(io.StringIO(text)) == records
+    _assert_reads_like_from_json(text)
+    # a text-mode file translates CRLF line ends before blocks are cut
+    path = tmp_path / "crlf.ndjson"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    with path.open() as fp:
+        assert read_reports(fp) == records
+    # digits outside ASCII are not JSON numbers
+    for digit in ("\u0661", "\uff11"):
+        lines[mid] = f'{{"user": 1{digit}, "h": 0, "t": 1, "bit": 1}}\n'
+        with pytest.raises(ValueError):
+            read_reports(io.StringIO("".join(lines)))
+    # an invalid line in the middle of a block still raises
+    lines[mid] = '{"user": 1, "h": 0, "t": 1, "bit": 2}\n'
+    with pytest.raises(ValueError, match="bit must be"):
+        read_reports(io.StringIO("".join(lines)))
