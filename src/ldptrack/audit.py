@@ -263,8 +263,9 @@ def verify_gap(cfg: RandomizerConfig, draws: int = 1_000_000,
         enum_ok = bool(abs(enum_val - g) <= mpf("1e-10"))
     if rng is None:
         rng = np.random.default_rng(0)
-    batch = sample_composed_batch(cfg, draws, rng)
-    est = float(batch[:, 0].astype(np.float64).mean())
+    # coordinate 0 alone: a length-1 prefix has exactly its law in a full draw
+    first = sample_composed_batch(cfg, draws, rng, np.ones(draws, dtype=np.int64))[:, 0]
+    est = float(first.astype(np.float64).mean())
     sigma = math.sqrt(max(1e-300, (1 - float(g) ** 2) / draws))
     mc_ok = abs(est - float(g)) <= 4 * sigma
     lb = gap_lower_bound_expr(cfg)

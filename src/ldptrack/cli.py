@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser("audit", help="exact privacy audits")
     aud_sub = aud.add_subparsers(dest="target", required=True)
 
-    aud_r = aud_sub.add_parser("randomizer", help="enumerate the randomizer's outputs")
+    aud_r = aud_sub.add_parser(
+        "randomizer", help="exact worst input-pair ratio, max(law) / min(law), at any k")
     aud_r.add_argument("--k", type=int, required=True)
     aud_r.add_argument("--eps", type=float, required=True)
     aud_r.add_argument("--algo", type=algo_tag, choices=ALGORITHMS, default="futurerand")

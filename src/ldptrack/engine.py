@@ -5,12 +5,15 @@ the online state machine, in O(n k) work: a user with at most k changes
 has at most k non-zero window sums, and the engine works from change
 events.  Users run in shards of ``SHARD``, each with Philox substreams
 keyed by (seed, repetition, purpose, shard), so runs are bit-reproducible
-and peak memory does not grow with n.  The z fair coins of a window's
-zero-sum users are summed as 2 Binomial(z, 1/2) - z, the same law.  Only
-``collect_reports`` draws every user's bit, coins included, and sums those
-same bits, so that replaying the reports through the server gives
-bit-identical estimates.  The two modes draw differently for one seed, and
-neither in the order the per-user clients do.
+and peak memory does not grow with n.  A client reads its noise vector
+in order, one coordinate per non-zero window sum, so the engine draws
+only that many leading coordinates per user, with exactly their law in a
+full draw.  The z fair coins of a window's zero-sum users are summed as
+2 Binomial(z, 1/2) - z, the same law.  Only ``collect_reports`` draws
+every user's bit, coins included, and sums those same bits, so that
+replaying the reports through the server gives bit-identical estimates.
+The two modes draw differently for one seed, and neither in the order
+the per-user clients do.
 """
 
 from __future__ import annotations
@@ -214,13 +217,8 @@ def simulate_rep(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
             0, num_orders, size=m).astype(np.int32)
         user, window, value, rank = _nonzero_windows(times, levels, h_u, k)
         rng_noise = substream(seed, rep, PURPOSE_NOISE, shard)
-        if alg.randomizer.annulus_full:
-            # the pre-drawn noise vector is coordinate-wise independent RR, so
-            # consuming its next entry is the same law as a fresh draw per window
-            keep = rng_noise.random(user.size) < float(1 - alg.randomizer.p)
-            noise = np.where(keep, 1, -1).astype(np.int8)
-        else:
-            noise = sample_composed_batch(alg.randomizer, m, rng_noise)[user, rank]
+        noise = sample_composed_batch(alg.randomizer, m, rng_noise,
+                                      np.bincount(user, minlength=m))[user, rank]
         bits = value * noise
         h_nz = h_u[user]
         flat = offset[h_nz] + window

@@ -6,7 +6,7 @@ rule on the Hamming distance between input and output: results whose
 distance lies inside [lb, ub] are kept, anything else is replaced by a
 uniform sample from the sign vectors outside the annulus.  The resulting
 output law depends on the input only through the Hamming distance, which
-is what the exact oracles below exploit.
+is what the exact oracles and the sampler below exploit.
 
 All probability arithmetic runs in the logarithmic domain with mpmath at
 50 significant digits; the server later divides by the preservation gap,
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from mpmath import mp, mpf
@@ -27,7 +29,6 @@ from .errors import CapacityError, ConfigError
 mp.dps = 50
 
 ENUMERATION_K = 20  # full 2^k output tables are built up to this k
-BATCH_CHUNK = 1 << 16  # rows per block of uniform words in sample_composed_batch
 
 __all__ = [
     "RandomizerConfig",
@@ -124,6 +125,17 @@ class RandomizerConfig:
     def annulus_full(self) -> bool:
         """True when the annulus covers every distance, i.e. plain independent RR."""
         return self.lb == 0 and self.ub == self.k
+
+    @cached_property
+    def distance_cdf(self) -> np.ndarray:
+        """float64 CDF of the output's Hamming distance from the input.
+
+        P[distance = i] = C(k, i) law[i], accumulated in extended precision
+        and rounded once per entry; the last entry is exactly 1.
+        """
+        law = distance_law(self)
+        cum = list(accumulate(math.comb(self.k, i) * law[i] for i in range(self.k + 1)))
+        return np.array([float(c / cum[-1]) for c in cum])
 
 
 def _build_config(eps: float, k: int, eps_tilde: mpf,
@@ -238,52 +250,38 @@ def gap_lower_bound_expr(cfg: RandomizerConfig) -> mpf | None:
 # sampling
 
 
-def _complement_probs_float(cfg: RandomizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    dists, weights = complement_distances(cfg.k, cfg.lb, cfg.ub)
-    total = sum(weights)
-    probs = np.array([c / total for c in weights], dtype=np.float64)  # int/int rounds once
-    probs /= probs.sum()
-    return np.array(dists, dtype=np.int64), probs
-
-
-def sample_composed_batch(cfg: RandomizerConfig, n: int,
-                          rng: np.random.Generator) -> np.ndarray:
+def sample_composed_batch(cfg: RandomizerConfig, n: int, rng: np.random.Generator,
+                          lengths: np.ndarray | None = None) -> np.ndarray:
     """n independent draws of the composed randomizer on the all-ones vector.
 
-    Each row flips every coordinate with probability p; a row whose number
-    of flips falls outside [lb, ub] is replaced by a fresh uniform draw
-    from the sign vectors outside the annulus (its distance drawn with
-    weight C(k, i), then a uniformly random i-subset flipped).  Returns an
-    (n, k) int8 array of signs.
+    The output law depends only on the distance from the input, so a row
+    has D minus-ones with probability C(k, D) law[D] and their positions
+    are a uniform D-subset.  Each row draws D from ``cfg.distance_cdf``,
+    then walks its coordinates as an urn: coordinate r is -1 with
+    probability (minus-ones left) / (k - r).  With ``lengths``, row u walks
+    only its first lengths[u] coordinates, which have exactly the law of
+    that prefix of a full draw; its later entries stay +1 and must not be
+    read.  Returns an (n, k) int8 array of signs, or (n, max(lengths)).
     """
     k = cfg.k
-    # flip threshold quantized at 2^-32: relative error ~2e-10, far below
-    # anything the 4-sigma Monte-Carlo checks could resolve
-    threshold = np.uint32(round(float(cfg.p) * (1 << 32)))
-    out = np.empty((n, k), dtype=np.int8)
-    comp_d, comp_p = (None, None)
-    if not cfg.annulus_full:
-        comp_d, comp_p = _complement_probs_float(cfg)
-    done = 0
-    while done < n:
-        m = min(BATCH_CHUNK, n - done)
-        flips = rng.integers(0, 1 << 32, size=(m, k), dtype=np.uint32) < threshold
-        block = 1 - 2 * flips.view(np.int8)
-        if comp_d is not None:
-            dist = flips.sum(axis=1)
-            outside = (dist < cfg.lb) | (dist > cfg.ub)
-            n_out = int(outside.sum())
-            if n_out:
-                di = rng.choice(comp_d, size=n_out, p=comp_p)
-                order = np.argsort(rng.random((n_out, k), dtype=np.float32), axis=1)
-                resampled = np.ones((n_out, k), dtype=np.int8)
-                rank_mask = np.arange(k)[None, :] < di[:, None]
-                rows = np.repeat(np.arange(n_out), di)
-                resampled[rows, order[rank_mask]] = -1
-                block[outside] = resampled
-        out[done:done + m] = block
-        done += m
-    return out
+    lengths = np.full(n, k) if lengths is None else np.asarray(lengths)
+    width = int(lengths.max(initial=0))
+    if width > k:
+        raise ValueError(f"prefix length {width} above k={k}")
+    # rows longest first, so the rows still walking at coordinate r are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    walking = n - np.cumsum(np.bincount(lengths, minlength=k + 1))
+    left = np.searchsorted(cfg.distance_cdf, rng.random(n), side="right")[order]
+    left = left.astype(np.float64)
+    # one contiguous row per coordinate, in walking order
+    out = np.ones((width, n), dtype=np.int8)
+    for r, a in enumerate(walking[:width]):
+        u = rng.random(a)
+        u *= k - r  # u < 1, so u (k - r) < left holds surely once left = k - r
+        minus = u < left[:a]
+        left[:a] -= minus
+        out[r, :a] -= 2 * minus.view(np.int8)
+    return np.take(out, np.argsort(order), axis=1).T
 
 
 # ---------------------------------------------------------------------------

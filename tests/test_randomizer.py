@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from ldptrack.audit import chi_square
+from ldptrack.audit import _prefix_masses, chi_square
+from ldptrack.baselines import bns19_config, naive_config
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.randomizer import (RandomizerConfig, complement_distances,
                                  exact_output_distribution, futurerand_config,
@@ -139,8 +140,8 @@ def test_outside_annulus_distance_histogram():
 
 
 def test_outside_annulus_flip_sets_uniform():
-    # annulus [2, 4] on k=4: the rows at distance 0 or 1 all come from the
-    # outside-annulus resample, so every output must follow the exact table
+    # annulus [2, 4] on k=4: distances 0 and 1 carry the outside-annulus
+    # value q*, and every output must follow the exact table
     cfg = _build_config(1.0, 4, mpf("0.1"), mpf(2), mpf(4))
     table = exact_output_distribution(ONES(4), cfg)
     batch = sample_composed_batch(cfg, 100_000, np.random.default_rng(3))
@@ -154,7 +155,7 @@ def test_outside_annulus_flip_sets_uniform():
 
 
 def test_full_annulus_is_plain_rr():
-    # annulus [0, k]: the resampling branch is unreachable and the output
+    # annulus [0, k]: the distance law is C(k, i) g(i), so the output
     # distance is Binomial(k, p)
     cfg = rr_config(6, 0.2, eps=1.2)
     assert cfg.annulus_full
@@ -167,7 +168,7 @@ def test_full_annulus_is_plain_rr():
 
 
 def test_compose_randomize_matches_exact_distribution():
-    # one draw per call: the n = 1 path, where a resampled row is the whole block
+    # one draw per call, as each online client makes it
     cfg = futurerand_config(3, 1.0)
     table = exact_output_distribution(ONES(3), cfg)
     rng = np.random.default_rng(5)
@@ -210,6 +211,38 @@ def test_output_distance_law_matches_binomial_g():
     for i in range(cfg.lb, cfg.ub + 1):
         expected = math.comb(4, i) * g_weight(i, 4, cfg.p)
         assert abs(by_distance[i] - expected) < mpf("1e-30")
+
+
+PREFIX_CONFIGS = {
+    "futurerand": lambda: futurerand_config(6, 1.0),
+    "bns19": lambda: bns19_config(5, 1.0).randomizer,
+    "naive": lambda: naive_config(4, 1.0).randomizer,
+    "annulus-2-4-k8": lambda: _build_config(1.0, 8, mpf("0.05"), mpf(2), mpf(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_CONFIGS))
+def test_prefix_draws_follow_exact_prefix_law(name):
+    # one batch with lengths uniform on 0..k: every row's m-prefix, m up to
+    # its length, must follow the closed-form prefix law, and nothing past
+    # the length is drawn
+    cfg = PREFIX_CONFIGS[name]()
+    k = cfg.k
+    rng = np.random.default_rng(31)
+    lengths = rng.integers(0, k + 1, size=300_000)
+    batch = sample_composed_batch(cfg, lengths.size, rng, lengths)
+    assert batch.shape == (lengths.size, k)
+    assert np.all(batch[np.arange(k)[None, :] >= lengths[:, None]] == 1)
+    masses = _prefix_masses(cfg)
+    for m in range(1, k + 1):
+        prefix = batch[lengths >= m, :m]
+        masks = (prefix == -1).astype(np.int64) @ (1 << np.arange(m))
+        counts = np.bincount(masks, minlength=1 << m)
+        expected = [float(masses[m][mask.bit_count()]) for mask in range(1 << m)]
+        res = chi_square(counts, expected, significance=0.001)
+        assert res.passed, (m, res)
+    with pytest.raises(ValueError):
+        sample_composed_batch(cfg, 2, rng, np.array([k, k + 1]))
 
 
 def test_sampling_determinism():
