@@ -11,8 +11,7 @@ privacy guarantee, and a Monte-Carlo benchmarking harness.
 from .baselines import (ALGORITHMS, AlgorithmConfig, algorithm_config, bns19_config,
                         futurerand_algorithm, make_client, naive_config,
                         sample_one_config)
-from .dyadic import (DerivativeStream, DyadicInterval, TruthSeries, decompose,
-                     derive, order_support, partial_sum)
+from .dyadic import DerivativeStream, TruthSeries, decompose, derive
 from .errors import CapacityError, ConfigError, ProtocolError, SparsityError
 from .harness import (ExperimentSpec, RunMetrics, ScalingStudy, gen_population,
                       run_experiment, run_reference, scaling_study,

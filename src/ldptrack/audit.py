@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .baselines import AlgorithmConfig, algorithm_config
-from .dyadic import DerivativeStream, DyadicInterval, derive, order_support, partial_sum
+from .dyadic import DerivativeStream, _check_horizon, derive
 from .errors import CapacityError
 from .randomizer import (RandomizerConfig, distance_law, exact_output_distribution,
                          gap_lower_bound_expr, sample_composed_batch)
@@ -94,64 +94,62 @@ def audit_randomizer(cfg: RandomizerConfig) -> AuditReport:
 # client-level audit
 
 
-def _prefix_masses(cfg: RandomizerConfig) -> list[list[mpf]]:
-    """masses[m][j]: probability that the first m coordinates of the noise
-    vector (drawn on 1^k) equal one given pattern holding j minus-ones.
+def _window_sums(changes: list[tuple[int, int]], h: int) -> list[tuple[int, int]]:
+    """(window, sum) of the order-h windows with a non-zero sum, by window.
 
-    A full vector at distance j has mass law[j]; a length-m prefix sums its
-    two extensions by coordinate m + 1: masses[m][j] = masses[m + 1][j] +
-    masses[m + 1][j + 1], which is sum_r C(k - m, r) law[j + r], in O(k^2).
+    ``changes`` holds (time, delta) pairs in time order; window w (from 0)
+    covers the times (w 2^h, (w + 1) 2^h].
     """
-    masses = [distance_law(cfg)]
-    for _ in range(cfg.k):
-        longer = masses[-1]
-        masses.append([a + b for a, b in zip(longer, longer[1:])])
-    return masses[::-1]
+    sums: dict[int, int] = {}
+    for c, v in changes:
+        w = (c - 1) >> h
+        sums[w] = sums.get(w, 0) + v
+    return [(w, s) for w, s in sums.items() if s]
 
 
 def _client_distribution(alg: AlgorithmConfig, d: int,
                          stream: DerivativeStream) -> dict[tuple[int, tuple[int, ...]], mpf]:
-    """Exact law of the full client output (h, reported bit sequence)."""
-    num_orders = d.bit_length()
-    order_prob = mpf(1) / num_orders
-    probs: dict[tuple[int, tuple[int, ...]], mpf] = {}
+    """Exact law of the full client output (h, reported bit sequence).
+
+    At order h with m non-zero window sums, an output has probability
+    (1 + log2 d)^-1 2^-(L - m) masses[m][j], j its mismatches with those
+    sums: they read the noise vector's m-prefix, the other L - m windows
+    report fair coins.  A keep-one client is this client run on the change
+    kept in a uniform slot out of k, or on no change for an empty slot.
+    """
+    if stream.horizon != d:
+        raise ValueError(f"stream horizon {stream.horizon} != d={d}")
+    changes = [(c, stream.entries[c - 1]) for c in stream.change_times()]
+    if len(changes) > alg.k:
+        raise ValueError(f"stream has {len(changes)} changes, above k={alg.k}")
     if alg.keep_one:
-        change_times = stream.change_times()
-        keep_p = 1 - alg.randomizer.p  # RR preservation probability
-        for h in range(num_orders):
-            L = d >> h
-            uniform_all = mpf(2) ** (-L)
-            for omega in itertools.product((-1, 1), repeat=L):
-                acc = mpf(0)
-                for slot in range(alg.k):
-                    if slot < len(change_times):
-                        c = change_times[slot]
-                        v = stream.entries[c - 1]
-                        j = ((c - 1) >> h) + 1
-                        rr = keep_p if omega[j - 1] == v else alg.randomizer.p
-                        acc += mpf(2) ** (-(L - 1)) * rr
-                    else:
-                        acc += uniform_all
-                probs[(h, omega)] = order_prob * acc / alg.k
+        variants = [(mpf(1) / alg.k, [ch]) for ch in changes]
+        variants.append((mpf(alg.k - len(changes)) / alg.k, []))
     else:
-        masses = _prefix_masses(alg.randomizer)
-        for h in range(num_orders):
-            L = d >> h
-            support = order_support(stream, h)
-            signs = [partial_sum(stream, DyadicInterval(order=h, index=j, horizon=d))
-                     for j in support]
-            m = len(support)
-            base = order_prob * mpf(2) ** (-(L - m))
-            for omega in itertools.product((-1, 1), repeat=L):
-                minus = sum(omega[j - 1] != signs[i] for i, j in enumerate(support))
-                probs[(h, omega)] = base * masses[m][minus]
-    total = sum(probs.values(), mpf(0))
-    if abs(total - 1) > mpf("1e-12"):
-        raise ArithmeticError(f"client distribution mass {total} deviates from 1")
+        variants = [(mpf(1), changes)]
+    masses = alg.randomizer.prefix_masses
+    num_orders = d.bit_length()
+    probs: dict[tuple[int, tuple[int, ...]], mpf] = {}
+    for h in range(num_orders):
+        L = d >> h
+        outputs = list(itertools.product((-1, 1), repeat=L))
+        total = None
+        for weight, kept in variants:
+            sums = _window_sums(kept, h)
+            m = len(sums)
+            base = weight / num_orders * mpf(2) ** (-(L - m))
+            values = [base * x for x in masses[m]]
+            column = [values[sum(omega[w] != s for w, s in sums)] for omega in outputs]
+            total = column if total is None else [a + b for a, b in zip(total, column)]
+        probs.update(zip(((h, omega) for omega in outputs), total))
+    mass = sum(probs.values(), mpf(0))
+    if abs(mass - 1) > mpf("1e-12"):
+        raise ArithmeticError(f"client distribution mass {mass} deviates from 1")
     return probs
 
 
 def _client_algorithm(d: int, k: int, eps: float, algorithm: str) -> AlgorithmConfig:
+    _check_horizon(d)
     if d > CLIENT_AUDIT_D:
         raise CapacityError(f"d={d} above client audit bound {CLIENT_AUDIT_D}")
     if k > CLIENT_AUDIT_K:

@@ -1,8 +1,10 @@
-"""Dyadic-interval arithmetic and the derivative view of Boolean streams.
+"""Dyadic windows and the derivative view of Boolean streams.
 
-Time steps are 1-indexed, the horizon ``d`` is a power of two, and a user's
-Boolean series is handled through its step-to-step differences, which are
-sparse when the value changes rarely.
+Time steps are 1-indexed and the horizon ``d`` is a power of two.  A
+dyadic window is an int pair (h, j): the time steps ((j-1) 2^h, j 2^h],
+order h and 1-based index j among the d / 2^h windows of that order.  A
+user's Boolean series is handled through its step-to-step differences,
+which are sparse when the value changes rarely.
 """
 
 from __future__ import annotations
@@ -12,13 +14,10 @@ from typing import Sequence
 
 
 __all__ = [
-    "DyadicInterval",
     "DerivativeStream",
     "TruthSeries",
     "derive",
     "decompose",
-    "partial_sum",
-    "order_support",
     "is_power_of_two",
 ]
 
@@ -30,49 +29,6 @@ def is_power_of_two(d: int) -> bool:
 def _check_horizon(d: int) -> None:
     if not is_power_of_two(d):
         raise ValueError(f"horizon d={d} must be a power of two")
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """The window ((j-1)*2^h, j*2^h] of time steps within a horizon d.
-
-    ``order`` is h, ``index`` is j (1-based among the d / 2^h windows of
-    that order).
-    """
-
-    order: int
-    index: int
-    horizon: int
-
-    def __post_init__(self) -> None:
-        _check_horizon(self.horizon)
-        max_order = self.horizon.bit_length() - 1
-        if not 0 <= self.order <= max_order:
-            raise ValueError(f"order {self.order} outside [0, {max_order}]")
-        if not 1 <= self.index <= self.horizon >> self.order:
-            raise ValueError(
-                f"index {self.index} outside [1, {self.horizon >> self.order}]"
-            )
-
-    @property
-    def start(self) -> int:
-        """First covered time step."""
-        return (self.index - 1) * (1 << self.order) + 1
-
-    @property
-    def end(self) -> int:
-        """Last covered time step (a multiple of 2^order)."""
-        return self.index * (1 << self.order)
-
-    @property
-    def length(self) -> int:
-        return 1 << self.order
-
-    def times(self) -> range:
-        return range(self.start, self.end + 1)
-
-    def __contains__(self, t: int) -> bool:
-        return self.start <= t <= self.end
 
 
 @dataclass(frozen=True)
@@ -150,11 +106,11 @@ def derive(boolean_series: Sequence[int], k: int | None = None) -> DerivativeStr
     return DerivativeStream(entries=tuple(entries), k=k)
 
 
-def decompose(t: int, d: int) -> list[DyadicInterval]:
-    """Minimal cover of {1, ..., t} by dyadic intervals with distinct orders.
+def decompose(t: int, d: int) -> list[tuple[int, int]]:
+    """Minimal cover of {1, ..., t} by dyadic windows (h, j) with distinct orders.
 
     Built from the binary expansion of t: each set bit 2^h contributes one
-    interval of order h, highest order first, so the list has popcount(t)
+    window of order h, highest order first, so the list has popcount(t)
     elements and the orders strictly decrease.
     """
     _check_horizon(d)
@@ -164,28 +120,6 @@ def decompose(t: int, d: int) -> list[DyadicInterval]:
     pos = 0
     for h in range(t.bit_length() - 1, -1, -1):
         if t & (1 << h):
-            out.append(DyadicInterval(order=h, index=(pos >> h) + 1, horizon=d))
+            out.append((h, (pos >> h) + 1))
             pos += 1 << h
-    return out
-
-
-def partial_sum(user: DerivativeStream, interval: DyadicInterval) -> int:
-    """Sum of the user's derivative entries over the interval; always -1, 0 or +1."""
-    if interval.horizon != user.horizon:
-        raise ValueError(
-            f"interval horizon {interval.horizon} != stream horizon {user.horizon}"
-        )
-    return sum(user.entries[t - 1] for t in interval.times())
-
-
-def order_support(user: DerivativeStream, h: int) -> list[int]:
-    """Indices j of order-h windows with a non-zero partial sum, ascending."""
-    d = user.horizon
-    _check_horizon(d)
-    if not 0 <= h <= d.bit_length() - 1:
-        raise ValueError(f"order {h} outside [0, {d.bit_length() - 1}]")
-    out = []
-    for j in range(1, (d >> h) + 1):
-        if partial_sum(user, DyadicInterval(order=h, index=j, horizon=d)) != 0:
-            out.append(j)
     return out

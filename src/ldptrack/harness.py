@@ -146,6 +146,7 @@ class RunMetrics:
             "bound": self.bound,
             "regime_ok": self.regime_ok,
             "reps": [{"max_err": e} for e in self.max_errs],
+            "exceedances": sum(e > self.bound for e in self.max_errs),
             "summary": self.summary(),
         }
 

@@ -130,7 +130,7 @@ def server_scale(d: int, gap_value: mpf, extra_factor: int = 1) -> mpf:
 
 @lru_cache(maxsize=1 << 14)
 def _decomposition_pairs(t: int, d: int) -> tuple[tuple[int, int], ...]:
-    return tuple((iv.order, iv.index) for iv in decompose(t, d))
+    return tuple(decompose(t, d))
 
 
 def readout(scale: float | mpf, sums, t: int, d: int) -> float:
@@ -227,7 +227,7 @@ def replay(records: Iterable[ReportRecord], alg: AlgorithmConfig, d: int) -> np.
 # wire format: one NDJSON object per emitted bit
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReportRecord:
     user: int
     h: int

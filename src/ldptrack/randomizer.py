@@ -137,6 +137,21 @@ class RandomizerConfig:
         cum = list(accumulate(math.comb(self.k, i) * law[i] for i in range(self.k + 1)))
         return np.array([float(c / cum[-1]) for c in cum])
 
+    @cached_property
+    def prefix_masses(self) -> list[list[mpf]]:
+        """masses[m][j]: probability that the first m coordinates of the noise
+        vector (drawn on 1^k) equal one given pattern holding j minus-ones.
+
+        A full vector at distance j has mass law[j]; a length-m prefix sums its
+        two extensions by coordinate m + 1: masses[m][j] = masses[m + 1][j] +
+        masses[m + 1][j + 1], which is sum_r C(k - m, r) law[j + r], in O(k^2).
+        """
+        masses = [distance_law(self)]
+        for _ in range(self.k):
+            longer = masses[-1]
+            masses.append([a + b for a, b in zip(longer, longer[1:])])
+        return masses[::-1]
+
 
 def _build_config(eps: float, k: int, eps_tilde: mpf,
                   lb_real: mpf, ub_real: mpf) -> RandomizerConfig:

@@ -7,12 +7,12 @@ from mpmath import mp, mpf
 
 from ldptrack.audit import (audit_client, audit_client_sweep, audit_randomizer,
                             chi_square, enumerate_streams, verify_gap,
-                            _client_distribution, _prefix_masses)
+                            _client_distribution)
 from ldptrack.baselines import (ALGORITHMS, algorithm_config, client_randomizer,
                                 make_client, naive_config)
 from ldptrack.dyadic import derive
 from ldptrack.errors import CapacityError, ConfigError
-from ldptrack.protocol import client_step
+from ldptrack.protocol import ClientState, client_step
 from ldptrack.randomizer import (distance_law, exact_output_distribution, futurerand_config,
                                  rr_config)
 
@@ -181,11 +181,83 @@ def test_client_distribution_matches_empirical_sampler_sample_one():
     assert res.passed, res
 
 
+class _ScriptedCoins:
+    """Stands in for a client's rng: integers(0, 2) returns the next scripted coin."""
+
+    def __init__(self, coins):
+        self.coins = iter(coins)
+
+    def integers(self, lo, hi):
+        assert (lo, hi) == (0, 2)
+        return next(self.coins)
+
+
+def _enumerated_client_law(alg, d, stream):
+    """Client output law by running client_step over every order, kept slot,
+    noise vector (exact table rows) and fair-coin sequence."""
+    k = alg.k
+    num_orders = d.bit_length()
+    table = exact_output_distribution(np.ones(k, dtype=np.int8), alg.randomizer).probs
+    change_times = stream.change_times()
+    if alg.keep_one:
+        slots = [(mpf(1) / k, change_times[s] if s < len(change_times) else None)
+                 for s in range(k)]
+    else:
+        slots = [(mpf(1), None)]
+    law = {}
+    for h in range(num_orders):
+        L = d >> h
+        for slot_prob, keep_time in slots:
+            for b_tilde, noise_prob in table.items():
+                for coins in itertools.product((0, 1), repeat=L):
+                    state = ClientState(h=h, d=d, k=k, b_tilde=np.array(b_tilde),
+                                        rng=_ScriptedCoins(coins), keep_time=keep_time,
+                                        filter_deltas=alg.keep_one)
+                    omega = tuple(b for t in range(1, d + 1)
+                                  if (b := client_step(state, t, stream.entries[t - 1]))
+                                  is not None)
+                    pr = slot_prob * noise_prob * mpf(2) ** -L / num_orders
+                    law[(h, omega)] = law.get((h, omega), mpf(0)) + pr
+    return law
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_client_distribution_equals_enumerated_client(algo):
+    cases = [(4, 2, s) for s in enumerate_streams(4, 2)]
+    cases += [(8, 3, derive(bits, k=3)) for bits in [(0,) * 8, (0, 0, 0, 1, 1, 1, 1, 0),
+                                                     (1, 0, 0, 0, 0, 0, 1, 1),
+                                                     (0, 1, 1, 0, 1, 1, 1, 1)]]
+    for d, k, stream in cases:
+        alg = algorithm_config(algo, k, 1.0, L=d)
+        law = _client_distribution(alg, d, stream)
+        oracle = _enumerated_client_law(alg, d, stream)
+        assert law.keys() == oracle.keys()
+        for key, pr in oracle.items():
+            assert abs(law[key] - pr) <= mpf("1e-40"), (d, k, stream.entries, key)
+
+
+@pytest.mark.parametrize("algo", ["futurerand", "sample_one"])
+def test_audit_client_rejects_invalid_input(algo):
+    three = derive((0, 1, 1, 0, 0, 1, 1, 1))     # changes at t = 2, 4, 6
+    other = derive((1, 0, 0, 1, 1, 1, 1, 1))     # changes at t = 1, 2, 4
+    with pytest.raises(ValueError, match="above k=2"):
+        audit_client(8, 2, 1.0, three, other, algorithm=algo)
+    zero8 = derive((0,) * 8, k=2)
+    long = derive((0,) * 15 + (1,), k=2)
+    with pytest.raises(ValueError, match="horizon 16"):
+        audit_client(8, 2, 1.0, long, zero8, algorithm=algo)
+    six = derive((0, 1, 1, 0, 0, 0), k=2)
+    with pytest.raises(ValueError, match="power of two"):
+        audit_client(6, 2, 1.0, six, six, algorithm=algo)
+    with pytest.raises(ValueError, match="power of two"):
+        audit_client_sweep(6, 2, 1.0, algorithm=algo)
+
+
 def test_prefix_masses_match_collapsed_table():
     for cfg in _buildable_randomizers(range(1, 7), (0.25, 1.0), ("futurerand", "naive", "bns19")):
         k = cfg.k
         table = exact_output_distribution(np.ones(k, dtype=np.int8), cfg).probs
-        masses = _prefix_masses(cfg)
+        masses = cfg.prefix_masses
         for m in range(k + 1):
             collapsed = {}
             for s, pr in table.items():
@@ -200,7 +272,7 @@ def test_prefix_masses_fold_equals_closed_form_sum(k):
     # masses[m][j] = sum_r C(k - m, r) law[j + r]: the O(k^3) form the fold replaced
     for cfg in _buildable_randomizers((k,), (0.5, 1.0), ("futurerand", "naive", "bns19")):
         law = distance_law(cfg)
-        masses = _prefix_masses(cfg)
+        masses = cfg.prefix_masses
         assert [len(row) for row in masses] == list(range(1, k + 2))
         for m in range(k + 1):
             for j in range(m + 1):

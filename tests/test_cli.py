@@ -14,7 +14,11 @@ def test_simulate_small(capsys, tmp_path):
                  "--out", str(out)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"spec", "gap", "bound", "regime_ok", "reps", "summary"}
+    assert set(payload) == {"spec", "gap", "bound", "regime_ok", "reps", "exceedances",
+                            "summary"}
+    assert payload["exceedances"] == sum(r["max_err"] > payload["bound"]
+                                         for r in payload["reps"])
+    assert json.loads(out.read_text())["exceedances"] == payload["exceedances"]
     assert out.exists() and (tmp_path / "sim.csv").exists()
 
 
@@ -84,6 +88,11 @@ def test_audit_client_zero_pairs_is_a_config_error(capsys):
                  "--pairs", "0"])
     assert code == 2
     assert "pairs must be >= 1" in capsys.readouterr().err
+    for algo in ("futurerand", "sample-one"):
+        code = main(["audit", "client", "--d", "6", "--k", "2", "--eps", "1",
+                     "--algo", algo])
+        assert code == 2
+        assert "power of two" in capsys.readouterr().err
 
 
 def test_dump_reports(tmp_path, capsys):

@@ -2,8 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldptrack.dyadic import (DerivativeStream, DyadicInterval, TruthSeries,
-                             decompose, derive, order_support, partial_sum)
+from ldptrack.audit import _window_sums
+from ldptrack.dyadic import DerivativeStream, TruthSeries, decompose, derive
+
+
+def _times(window):
+    """Time steps of the dyadic window (h, j)."""
+    h, j = window
+    return range((j - 1) * (1 << h) + 1, j * (1 << h) + 1)
+
+
+def _changes(ds):
+    return [(c, ds.entries[c - 1]) for c in ds.change_times()]
 
 
 def test_derive_example():
@@ -27,19 +37,18 @@ def test_derive_rejects_non_boolean():
 
 def test_decompose_example():
     parts = decompose(3, 4)
-    assert [(iv.order, iv.index) for iv in parts] == [(1, 1), (0, 3)]
-    assert list(parts[0].times()) == [1, 2]
-    assert list(parts[1].times()) == [3]
+    assert parts == [(1, 1), (0, 3)]
+    assert list(_times(parts[0])) == [1, 2]
+    assert list(_times(parts[1])) == [3]
 
 
 def test_decompose_whole_horizon():
-    (iv,) = decompose(8, 8)
-    assert (iv.order, iv.index) == (3, 1)
+    assert decompose(8, 8) == [(3, 1)]
 
 
 def test_decompose_t7_d8():
     parts = decompose(7, 8)
-    assert [(iv.order, iv.index) for iv in parts] == [(2, 1), (1, 3), (0, 7)]
+    assert parts == [(2, 1), (1, 3), (0, 7)]
     assert len(parts) == bin(7).count("1")
 
 
@@ -52,38 +61,19 @@ def test_decompose_out_of_range():
         decompose(2, 6)  # horizon not a power of two
 
 
-def test_interval_validation():
-    iv = DyadicInterval(order=1, index=2, horizon=4)
-    assert (iv.start, iv.end) == (3, 4)
-    assert 3 in iv and 4 in iv and 2 not in iv
-    with pytest.raises(ValueError):
-        DyadicInterval(order=3, index=1, horizon=4)
-    with pytest.raises(ValueError):
-        DyadicInterval(order=1, index=3, horizon=4)
-    with pytest.raises(ValueError):
-        DyadicInterval(order=0, index=1, horizon=3)
-
-
 def test_partial_sum_examples():
+    # window sums of the derivative; windows are numbered from 0
     ds = derive((0, 1, 1, 0))
-    assert partial_sum(ds, DyadicInterval(order=1, index=1, horizon=4)) == 1
-    assert partial_sum(ds, DyadicInterval(order=2, index=1, horizon=4)) == 0
-    zero = derive((0, 0, 0, 0))
-    for h, j in [(0, 1), (1, 2), (2, 1)]:
-        assert partial_sum(zero, DyadicInterval(order=h, index=j, horizon=4)) == 0
-
-
-def test_partial_sum_horizon_mismatch():
-    ds = derive((0, 1))
-    with pytest.raises(ValueError):
-        partial_sum(ds, DyadicInterval(order=0, index=1, horizon=4))
+    assert _window_sums(_changes(ds), 1) == [(0, 1), (1, -1)]
+    assert _window_sums(_changes(ds), 2) == []
+    assert _window_sums(_changes(derive((0, 1, 0, 0))), 0) == [(1, 1), (2, -1)]
 
 
 def test_order_support_examples():
     ds = derive((0, 1, 1, 0))
-    assert order_support(ds, 1) == [1, 2]
-    assert order_support(ds, 2) == []
-    assert order_support(derive((0, 0, 0, 0)), 0) == []
+    assert [w for w, _ in _window_sums(_changes(ds), 1)] == [0, 1]
+    assert _window_sums(_changes(ds), 2) == []
+    assert _window_sums(_changes(derive((0, 0, 0, 0))), 0) == []
 
 
 def test_stream_invariant_validation():
@@ -120,7 +110,8 @@ def test_decomposition_reconstructs_prefix(series, data):
     d = len(series)
     ds = derive(series)
     t = data.draw(st.integers(1, d))
-    total = sum(partial_sum(ds, iv) for iv in decompose(t, d))
+    windows = decompose(t, d)
+    total = sum(ds.entries[x - 1] for w in windows for x in _times(w))
     assert total == series[t - 1]
 
 
@@ -130,12 +121,12 @@ def test_decompose_structure(log_d, data):
     t = data.draw(st.integers(1, d))
     parts = decompose(t, d)
     assert len(parts) == bin(t).count("1")
-    orders = [iv.order for iv in parts]
+    orders = [h for h, _ in parts]
     assert orders == sorted(orders, reverse=True) and len(set(orders)) == len(orders)
-    covered = sorted(x for iv in parts for x in iv.times())
+    covered = sorted(x for w in parts for x in _times(w))
     assert covered == list(range(1, t + 1))
-    for iv in parts:
-        assert iv.end % (1 << iv.order) == 0
+    for h, j in parts:
+        assert 1 <= j <= d >> h
 
 
 @given(boolean_series(), st.data())
@@ -144,8 +135,13 @@ def test_order_support_bounded(series, data):
     d = len(series)
     ds = derive(series)
     h = data.draw(st.integers(0, d.bit_length() - 1))
-    support = order_support(ds, h)
+    sums = _window_sums(_changes(ds), h)
+    support = [w for w, _ in sums]
     assert len(support) <= min(ds.k, d >> h)
     assert support == sorted(support)
-    for j in support:
-        assert partial_sum(ds, DyadicInterval(order=h, index=j, horizon=d)) != 0
+    for w, s in sums:
+        assert s == sum(ds.entries[x - 1] for x in _times((h, w + 1))) != 0
+    # every other window of order h sums to zero
+    for j in range(1, (d >> h) + 1):
+        if j - 1 not in support:
+            assert sum(ds.entries[x - 1] for x in _times((h, j))) == 0

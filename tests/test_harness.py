@@ -146,7 +146,8 @@ def test_regime_flag():
 def test_run_experiment_json_schema():
     spec = ExperimentSpec(n=50, d=8, k=2, eps=1.0, beta=0.1, reps=3, seed=1)
     payload = run_experiment(spec).to_json()
-    assert set(payload) == {"spec", "gap", "bound", "regime_ok", "reps", "summary"}
+    assert set(payload) == {"spec", "gap", "bound", "regime_ok", "reps", "exceedances",
+                            "summary"}
     assert len(payload["reps"]) == 3
     assert all(set(r) == {"max_err"} for r in payload["reps"])
     assert set(payload["summary"]) == {"mean", "stddev", "quantiles"}
@@ -178,8 +179,7 @@ def test_run_experiment_outputs_and_report_consistency(tmp_path):
         sums[key] = sums.get(key, 0) + rec.bit
     for row in rows[1:]:
         t, f_val, fhat, abs_err = int(row[0]), int(row[1]), float(row[2]), float(row[3])
-        recomputed = scale * sum(sums[(iv.order, iv.index)]
-                                 for iv in decompose(t, 16))
+        recomputed = scale * sum(sums[w] for w in decompose(t, 16))
         assert recomputed == fhat
         assert abs_err == abs(fhat - f_val)
 

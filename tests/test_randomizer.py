@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from ldptrack.audit import _prefix_masses, chi_square
+from ldptrack.audit import chi_square
 from ldptrack.baselines import bns19_config, naive_config
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.randomizer import (RandomizerConfig, complement_distances,
@@ -233,7 +233,7 @@ def test_prefix_draws_follow_exact_prefix_law(name):
     batch = sample_composed_batch(cfg, lengths.size, rng, lengths)
     assert batch.shape == (lengths.size, k)
     assert np.all(batch[np.arange(k)[None, :] >= lengths[:, None]] == 1)
-    masses = _prefix_masses(cfg)
+    masses = cfg.prefix_masses
     for m in range(1, k + 1):
         prefix = batch[lengths >= m, :m]
         masks = (prefix == -1).astype(np.int64) @ (1 << np.arange(m))
