@@ -16,8 +16,8 @@ from .errors import CapacityError, ConfigError, ProtocolError, SparsityError
 from .harness import (ExperimentSpec, RunMetrics, ScalingStudy, gen_population,
                       run_experiment, run_reference, scaling_study,
                       theoretical_bound)
-from .protocol import (ClientState, ReportRecord, ServerState, client_init,
-                       client_step, read_reports, replay, server_init,
+from .protocol import (ClientState, ReportBatch, ReportRecord, ServerState,
+                       client_init, client_step, read_reports, replay, server_init,
                        server_register, server_step, write_reports)
 from .randomizer import (DistributionTable, RandomizerConfig,
                          exact_output_distribution, futurerand_config, g_weight,

@@ -11,7 +11,8 @@ only that many leading coordinates per user, with exactly their law in a
 full draw.  The z fair coins of a window's zero-sum users are summed as
 2 Binomial(z, 1/2) - z, the same law.  Only ``collect_reports`` draws
 every user's bit, coins included, and sums those same bits, so that
-replaying the reports through the server gives bit-identical estimates.
+replaying the reports through the server gives bit-identical estimates;
+they come back as one columnar ``ReportBatch``, by order, user, window.
 The two modes draw differently for one seed, and neither in the order
 the per-user clients do.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .baselines import AlgorithmConfig
 from .errors import SparsityError
-from .protocol import ReportRecord, readout, server_scale
+from .protocol import ReportBatch, readout, server_scale
 from .randomizer import sample_composed_batch
 
 # purpose tags for substream derivation
@@ -184,7 +185,7 @@ def _nonzero_windows(times: np.ndarray, levels: np.ndarray, h_u: np.ndarray,
 class RepOutcome:
     truth: np.ndarray
     estimates: np.ndarray
-    reports: list[ReportRecord] | None
+    reports: ReportBatch | None
 
     @property
     def max_error(self) -> float:
@@ -202,7 +203,7 @@ def simulate_rep(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
     truth = np.zeros(d, dtype=np.int64)
     sums = np.zeros(offset[-1], dtype=np.int64)
     zeros = np.zeros(offset[-1], dtype=np.int64)  # zero-sum users, coins not drawn yet
-    records: list[list[ReportRecord]] = [[] for _ in range(num_orders)]
+    blocks: list[list[np.ndarray]] = [[] for _ in range(num_orders)]  # row blocks per order
     for shard, lo in enumerate(range(0, n, SHARD)):
         m = min(SHARD, n - lo)
         counts, times = sample_changes(
@@ -235,14 +236,15 @@ def simulate_rep(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
             at = h_nz == h
             R[np.searchsorted(rows, user[at]), window[at]] = bits[at]
             sums[offset[h]:offset[h + 1]] += R.sum(axis=0, dtype=np.int64)
-            records[h] += map(ReportRecord, np.repeat(rows + lo, L).tolist(), [h] * R.size,
-                              np.tile(np.arange(1, L + 1) << h, rows.size).tolist(),
-                              R.ravel().tolist())
+            cols = np.broadcast_arrays((rows + lo)[:, None], h, np.arange(1, L + 1) << h, R)
+            blocks[h].append(np.stack(cols, axis=-1, dtype=np.int64).reshape(-1, 4))
     # the zero-sum users' coins as 2 Binomial(z, 1/2) - z (none left when collecting)
     sums += 2 * substream(seed, rep, PURPOSE_BITS).binomial(zeros, 0.5) - zeros
     per_order = [sums[offset[h]:offset[h + 1]] for h in range(num_orders)]
     scale = float(server_scale(d, alg.gap, alg.server_factor))
     estimates = np.fromiter((readout(scale, per_order, t, d) for t in range(1, d + 1)),
                             dtype=np.float64, count=d)
-    reports = list(chain.from_iterable(records)) if collect_reports else None
+    reports = (ReportBatch(np.concatenate([np.empty((0, 4), dtype=np.int64),
+                                           *chain.from_iterable(blocks)]))
+               if collect_reports else None)
     return RepOutcome(truth=truth, estimates=estimates, reports=reports)

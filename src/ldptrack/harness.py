@@ -20,8 +20,8 @@ from .baselines import AlgorithmConfig, algorithm_config, make_client
 from .dyadic import DerivativeStream, TruthSeries, is_power_of_two
 from .engine import (CHANGE_MODELS, simulate_rep, sample_changes, substream,
                      truth_from_changes)
-from .protocol import (ReportRecord, client_step, server_init, server_register,
-                       server_scale, server_step, write_reports)
+from .protocol import (ReportBatch, ReportRecord, client_step, server_init,
+                       server_register, server_scale, server_step, write_reports)
 
 __all__ = [
     "ExperimentSpec",
@@ -204,7 +204,7 @@ def run_experiment(spec: ExperimentSpec,
 
 def run_reference(streams: list[DerivativeStream], alg: AlgorithmConfig,
                   d: int, seed: int = 0,
-                  rep: int = 0) -> tuple[tuple[float, ...], list[ReportRecord]]:
+                  rep: int = 0) -> tuple[tuple[float, ...], ReportBatch]:
     """Reference path: per-user online clients driving the incremental server."""
     server = server_init(d, alg.k, alg.eps, alg.gap, alg.server_factor)
     clients = []
@@ -223,7 +223,7 @@ def run_reference(streams: list[DerivativeStream], alg: AlgorithmConfig,
                 due.append((uid, bit))
                 records.append(ReportRecord(user=uid, h=state.h, t=t, bit=bit))
         estimates.append(server_step(server, t, due))
-    return tuple(estimates), records
+    return tuple(estimates), ReportBatch.of(records)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 from mpmath import mpf
@@ -31,6 +31,7 @@ __all__ = [
     "ClientState",
     "ServerState",
     "ReportRecord",
+    "ReportBatch",
     "client_init",
     "client_step",
     "server_init",
@@ -208,23 +209,33 @@ def replay(records: Iterable[ReportRecord], alg: AlgorithmConfig, d: int) -> np.
     ProtocolError, as does everything server_step rejects (a report not
     due, a duplicate, a missing due report).
     """
+    batch = records if isinstance(records, ReportBatch) else ReportBatch.of(records)
+    user, h, t, bit = batch.rows.T
     server = server_init(d, alg.k, alg.eps, alg.gap, alg.server_factor)
-    due: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
-    for rec in records:
-        if not 1 <= rec.t <= d:
-            raise ProtocolError(f"report from user {rec.user} at t={rec.t} outside [1, {d}]")
-        h = server.h_of.get(rec.user)
-        if h is None:
-            server_register(server, rec.user, rec.h)
-        elif rec.h != h:
-            raise ProtocolError(f"user {rec.user} reports at order {rec.h} "
-                                f"after reporting at order {h}")
-        due[rec.t].append((rec.user, rec.bit))
-    return np.array([server_step(server, t, due[t]) for t in range(1, d + 1)])
+    if (bad := np.flatnonzero((t < 1) | (t > d))).size:
+        i = bad[0]
+        raise ProtocolError(f"report from user {user[i]} at t={t[i]} outside [1, {d}]")
+    users, first, which = np.unique(user, return_index=True, return_inverse=True)
+    if (bad := np.flatnonzero(h != h[first][which])).size:
+        i = bad[0]
+        raise ProtocolError(f"user {user[i]} reports at order {h[i]} "
+                            f"after reporting at order {h[first[which[i]]]}")
+    for u, order in zip(users.tolist(), h[first].tolist()):
+        server_register(server, u, order)
+    by_t = np.argsort(t, kind="stable")
+    cuts = np.searchsorted(t[by_t], np.arange(1, d + 2)).tolist()
+    users_by_t, bits_by_t = user[by_t].tolist(), bit[by_t].tolist()
+    return np.array([server_step(server, step, zip(users_by_t[lo:hi], bits_by_t[lo:hi]))
+                     for step, lo, hi in zip(range(1, d + 1), cuts, cuts[1:])])
 
 
 # ---------------------------------------------------------------------------
 # wire format: one NDJSON object per emitted bit
+
+
+# one record's NDJSON line: with int fields, exactly what json.dumps gives
+_LINE = '{"user": %d, "h": %d, "t": %d, "bit": %d}\n'
+_WRITE_ROWS = 1 << 14
 
 
 @dataclass(slots=True)
@@ -235,27 +246,54 @@ class ReportRecord:
     bit: int
 
     def to_json(self) -> str:
-        # the four fields are ints, so this is what json.dumps gives for them
-        return f'{{"user": {self.user}, "h": {self.h}, "t": {self.t}, "bit": {self.bit}}}'
+        return _LINE[:-1] % (self.user, self.h, self.t, self.bit)
 
     @classmethod
     def from_json(cls, line: str) -> "ReportRecord":
         obj = json.loads(line)
-        if type(obj) is not dict:
-            raise ValueError(f"record must be a JSON object, got {obj!r}")
-        if set(obj) != {"user", "h", "t", "bit"}:
-            raise ValueError(f"record keys {sorted(obj)} != ['bit', 'h', 't', 'user']")
-        if any(type(v) is not int for v in obj.values()):
-            raise ValueError(f"record fields must be integers, got {obj}")
-        rec = cls(**obj)
-        if rec.bit not in (-1, 1):
-            raise ValueError(f"bit must be -1 or +1, got {rec.bit}")
-        return rec
+        if type(obj) is not dict or obj.keys() != {"user", "h", "t", "bit"}:
+            raise ValueError(f"not a JSON object of user, h, t, bit: {obj!r}")
+        for key, v in obj.items():
+            if type(v) is not int or not -(1 << 63) <= v < 1 << 63:
+                raise ValueError(f"record field {key}={v!r} is not an int64")
+        if obj["bit"] not in (-1, 1):
+            raise ValueError(f"bit must be -1 or +1, got {obj['bit']}")
+        return cls(**obj)
 
 
-def write_reports(records: Sequence[ReportRecord], fp: IO[str]) -> None:
+@dataclass(slots=True, eq=False)
+class ReportBatch:
+    """Report records as ``rows``, an (n, 4) int64 array of user, h, t, bit;
+    equal to a batch with equal rows and to a list of the same records."""
+
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, records: Iterable[ReportRecord]) -> ReportBatch:
+        return cls(np.array([(r.user, r.h, r.t, r.bit) for r in records],
+                            dtype=np.int64).reshape(-1, 4))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[ReportRecord]:
+        return map(ReportRecord, *self.rows.T.tolist())
+
+    def __getitem__(self, i: int | slice) -> ReportRecord | ReportBatch:
+        return (ReportBatch(self.rows[i]) if isinstance(i, slice)
+                else ReportRecord(*self.rows[i].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ReportBatch):
+            return np.array_equal(self.rows, other.rows)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
+def write_reports(records: Iterable[ReportRecord], fp: IO[str]) -> None:
     """One NDJSON line per record."""
-    fp.writelines(f"{rec.to_json()}\n" for rec in records)
+    rows = (records if isinstance(records, ReportBatch) else ReportBatch.of(records)).rows
+    for part in np.split(rows, range(_WRITE_ROWS, len(rows), _WRITE_ROWS)):
+        fp.write(_LINE * len(part) % tuple(part.ravel().tolist()))
 
 
 # The exact line ReportRecord.to_json writes, with ints of at most 18 digits
@@ -285,21 +323,21 @@ def _blocks(fp: IO[str]) -> Iterator[str]:
         yield tail + "\n"
 
 
-def read_reports(fp: IO[str]) -> list[ReportRecord]:
+def read_reports(fp: IO[str]) -> ReportBatch:
     """Records of the non-blank lines of fp, read in blocks.
 
     A block whose lines are all exactly as to_json writes them (the common
     case) is parsed as one int64 array; any other block goes line by line
     through from_json, which accepts every JSON object with exactly the
-    four int fields and raises ValueError for the rest.  Lines end where
+    four int64 fields and raises ValueError for the rest.  Lines end where
     the text fp.read returns has a newline.
     """
-    records: list[ReportRecord] = []
+    parts = [np.empty((0, 4), dtype=np.int64)]
     for block in _blocks(fp):
         if _CANONICAL_LINES.fullmatch(block):
             ints = np.fromstring(block.translate(_KEYS_TO_SPACES), dtype=np.int64, sep=" ")
-            records.extend(map(ReportRecord, *ints.reshape(-1, 4).T.tolist()))
+            parts.append(ints.reshape(-1, 4))
         else:
-            records.extend(ReportRecord.from_json(line)
-                           for line in block.split("\n") if line.strip())
-    return records
+            lines = filter(str.strip, block.split("\n"))
+            parts.append(ReportBatch.of(map(ReportRecord.from_json, lines)).rows)
+    return ReportBatch(np.concatenate(parts))

@@ -154,12 +154,14 @@ def test_aggregate_rejects_a_record_with_another_order(capsys, tmp_path):
                  "--eps", "1.0"])
     assert code == 2
     assert "protocol error" in capsys.readouterr().err
-    # a malformed record is a protocol error too
-    reports.write_text('{"user": 1, "h": 0, "t": 1, "bit": 2}\n')
-    code = main(["aggregate", "--reports", str(reports), "--d", "16", "--k", "3",
-                 "--eps", "1.0"])
-    assert code == 2
-    assert "protocol error" in capsys.readouterr().err
+    # a malformed record is a protocol error too, and so is an int beyond int64
+    for line in ('{"user": 1, "h": 0, "t": 1, "bit": 2}\n',
+                 '{"user": 9223372036854775808, "h": 0, "t": 1, "bit": 1}\n'):
+        reports.write_text(line)
+        code = main(["aggregate", "--reports", str(reports), "--d", "16", "--k", "3",
+                     "--eps", "1.0"])
+        assert code == 2
+        assert "protocol error" in capsys.readouterr().err
 
 
 def test_scaling_command(capsys, tmp_path):

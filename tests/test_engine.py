@@ -1,5 +1,7 @@
 """The engine's change-time sampler, its shards and its window sums."""
 
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -12,7 +14,7 @@ from ldptrack.engine import (CHANGE_MODELS, PURPOSE_POPULATION, SHARD,
                              sample_changes, simulate_rep, substream,
                              truth_from_changes)
 from ldptrack.errors import SparsityError
-from ldptrack.protocol import replay
+from ldptrack.protocol import replay, write_reports
 
 
 def _subset_histogram(times: np.ndarray, d: int, c: int) -> np.ndarray:
@@ -104,3 +106,23 @@ def test_forged_population_with_too_many_nonzero_windows_raises(monkeypatch):
     alg = algorithm_config("futurerand", 2, 1.0, L=8)
     with pytest.raises(SparsityError, match="non-zero window sums"):
         simulate_rep(alg, 50, 8, seed=0, rep=0)
+
+
+# SHA-256 of the NDJSON dump, as written by the engine that built one
+# ReportRecord per bit: the columnar engine writes the same records, in the
+# same order, from the same randomness
+_DUMP_SHA256 = {
+    ("futurerand", 0): "7c53ea874b02bbe8aeb0a263f41ebbe8d3c38efdc1a1502ec680dc8c9638d1cb",
+    ("futurerand", 1): "dd39e7172e9546b2006a856374cebcaa039b1797ee809f8ab873d2d8cf901ef2",
+    ("sample_one", 0): "aa9c6222269b2a8663d07e121eb6dbf55257d68ad0f9ff3aa0ad9bfd34982190",
+    ("sample_one", 1): "eed3e584b058da0d07af1c5b9a309091c584846077ae657dad123707009d6575",
+}
+
+
+@pytest.mark.parametrize("algo, rep", sorted(_DUMP_SHA256))
+def test_report_dump_bytes_are_pinned(algo, rep):
+    alg = algorithm_config(algo, 8, 1.0, L=64)
+    out = simulate_rep(alg, 3000, 64, seed=5, rep=rep, collect_reports=True)
+    buf = io.StringIO()
+    write_reports(out.reports, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == _DUMP_SHA256[algo, rep]

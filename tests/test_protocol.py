@@ -12,12 +12,12 @@ from mpmath import mpf
 from ldptrack import protocol
 from ldptrack.audit import chi_square
 from ldptrack.baselines import algorithm_config
-from ldptrack.dyadic import derive
+from ldptrack.dyadic import decompose, derive
 from ldptrack.engine import simulate_rep
 from ldptrack.errors import ProtocolError, SparsityError
-from ldptrack.protocol import (ReportRecord, client_init, client_step,
+from ldptrack.protocol import (ReportBatch, ReportRecord, client_init, client_step,
                                read_reports, replay, server_init, server_register,
-                               server_step, write_reports)
+                               server_scale, server_step, write_reports)
 from ldptrack.randomizer import futurerand_config
 
 
@@ -221,7 +221,7 @@ def test_replay_equals_engine_estimates():
 
 def test_replay_rejects_inconsistent_records():
     alg, out = _engine_reports()
-    recs = out.reports
+    recs = list(out.reports)
     # a later record of a user at another order than its first
     i = next(i for i, r in enumerate(recs) if i and recs[i - 1].user == r.user)
     forged = replace(recs[i], h=(recs[i].h + 1) % 4)
@@ -238,6 +238,49 @@ def test_replay_rejects_inconsistent_records():
     odd = next(r for r in recs if r.h > 0)
     with pytest.raises(ProtocolError, match="no report due"):
         replay(recs + [replace(odd, t=odd.t - 1)], alg, 8)
+
+
+# small values hit other users, orders and times of the dump; the rest any int64
+_ANY_INT64 = st.one_of(st.integers(-2, 50), st.integers(-(2 ** 63), 2 ** 63 - 1))
+
+
+@given(st.sampled_from(["user", "h", "t", "drop", "duplicate"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_replay_rejects_any_inconsistent_dump(kind, data):
+    alg, out = _engine_reports()
+    rows = out.reports.rows.copy()
+    # a user of the top order sends one record, and a dump does not list its
+    # users: losing that record, or moving it to a new user, loses the user
+    pool = np.flatnonzero(rows[:, 1] < 3) if kind in ("user", "drop") else range(len(rows))
+    i = data.draw(st.sampled_from(pool), label="record")
+    if kind in ("user", "h", "t"):
+        col = ("user", "h", "t").index(kind)
+        rows[i, col] = data.draw(_ANY_INT64.filter(lambda v: v != rows[i, col]))
+    elif kind == "drop":
+        rows = np.delete(rows, i, axis=0)
+    else:
+        rows = np.insert(rows, data.draw(st.integers(0, len(rows))), rows[i], axis=0)
+    with pytest.raises(ProtocolError):
+        replay(ReportBatch(rows), alg, 8)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_replay_of_a_dump_with_one_flipped_bit(data):
+    alg, out = _engine_reports()
+    rows = out.reports.rows.copy()
+    i = data.draw(st.integers(0, len(rows) - 1), label="record")
+    _, h, t, bit = rows[i].tolist()
+    rows[i, 3] = -bit
+    flipped = replay(ReportBatch(rows), alg, 8)
+    # every estimate is the scale times an exact integer total of bits
+    scale = float(server_scale(8, alg.gap, alg.server_factor))
+    totals = [np.rint(est / scale) for est in (out.estimates, flipped)]
+    for est, total in zip((out.estimates, flipped), totals):
+        assert np.array_equal(est, scale * total)
+    # which moves by -2 bit exactly where the flipped window is read out
+    expected = [-2 * bit if (h, t >> h) in decompose(step, 8) else 0 for step in range(1, 9)]
+    assert np.array_equal(totals[1] - totals[0], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +317,38 @@ def test_report_record_rejects_bad_payload():
     for line in ("1", "null", '"user"', '[1, "a"]'):
         with pytest.raises(ValueError, match="JSON object"):
             ReportRecord.from_json(line)
+    # every field must fit int64, the column type of a ReportBatch
+    for key in ("user", "h", "t", "bit"):
+        for v in (2 ** 63, -(2 ** 63) - 1):
+            with pytest.raises(ValueError, match=f"field {key}="):
+                ReportRecord.from_json(json.dumps({"user": 1, "h": 0, "t": 1, "bit": 1, key: v}))
+    edges = '{"user": -9223372036854775808, "h": 0, "t": 9223372036854775807, "bit": 1}'
+    assert ReportRecord.from_json(edges) == ReportRecord(-(2 ** 63), 0, 2 ** 63 - 1, 1)
+
+
+def test_report_batch_indexing_iteration_and_equality():
+    records = [ReportRecord(3, 1, 2, -1), ReportRecord(0, 0, 1, 1),
+               ReportRecord(-(2 ** 63), 2, 2 ** 63 - 1, 1)]
+    batch = ReportBatch.of(records)
+    assert batch.rows.dtype == np.int64 and batch.rows.shape == (3, 4) and len(batch) == 3
+    assert [[r.user, r.h, r.t, r.bit] for r in batch] == batch.rows.tolist()
+    assert all(type(v) is int for r in batch for v in (r.user, r.h, r.t, r.bit))
+    assert list(batch) == records
+    assert batch[1] == records[1] and batch[-1] == records[-1]
+    assert isinstance(batch[1:], ReportBatch) and batch[1:] == records[1:]
+    assert batch[::-1] == records[::-1] and list(batch[::-1]) == records[::-1]
+    assert batch == ReportBatch.of(records) and batch == records and records == batch
+    assert batch != records[::-1] and batch != records[:2]
+    assert batch != ReportBatch.of(records[:2]) and batch != batch[::-1]
+
+
+def test_empty_batch_writes_nothing_and_reads_back():
+    empty = ReportBatch.of([])
+    assert len(empty) == 0 and list(empty) == [] and empty == []
+    buf = io.StringIO()
+    write_reports(empty, buf)
+    assert buf.getvalue() == ""
+    assert read_reports(io.StringIO("")) == empty
 
 
 def test_write_reports_exact_bytes():
@@ -349,9 +424,9 @@ def _mutate(text, kind, data):
 
 _RECORDS = st.lists(st.builds(
     ReportRecord,
-    user=st.one_of(st.integers(0, 10 ** 6), st.integers(-(2 ** 64), 2 ** 64)),
+    user=st.one_of(st.integers(0, 10 ** 6), st.integers(-(2 ** 63), 2 ** 63 - 1)),
     h=st.integers(0, 12),
-    t=st.one_of(st.integers(1, 4096), st.integers(-(10 ** 19), 10 ** 19)),
+    t=st.one_of(st.integers(1, 4096), st.integers(-(2 ** 63), 2 ** 63 - 1)),
     bit=st.sampled_from([-1, 1])), min_size=1, max_size=30)
 
 
