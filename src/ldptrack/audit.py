@@ -9,6 +9,7 @@ concrete witnesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,15 +108,23 @@ def _window_sums(changes: list[tuple[int, int]], h: int) -> list[tuple[int, int]
     return [(w, s) for w, s in sums.items() if s]
 
 
+@functools.cache
+def _outputs(L: int) -> np.ndarray:
+    """Every +-1 output of length L, one row each, in itertools.product order."""
+    return np.array(list(itertools.product((-1, 1), repeat=L)), dtype=np.int8)
+
+
 def _client_distribution(alg: AlgorithmConfig, d: int,
-                         stream: DerivativeStream) -> dict[tuple[int, tuple[int, ...]], mpf]:
-    """Exact law of the full client output (h, reported bit sequence).
+                         stream: DerivativeStream) -> tuple[np.ndarray, list[mpf]]:
+    """Exact law of the full client output (h, reported bit sequence), by class.
 
     At order h with m non-zero window sums, an output has probability
     (1 + log2 d)^-1 2^-(L - m) masses[m][j], j its mismatches with those
     sums: they read the noise vector's m-prefix, the other L - m windows
     report fair coins.  A keep-one client is this client run on the change
     kept in a uniform slot out of k, or on no change for an empty slot.
+    Returns the class of each (h, omega) key, h ascending then _outputs
+    order, and each class's probability; a class is one j per variant.
     """
     if stream.horizon != d:
         raise ValueError(f"stream horizon {stream.horizon} != d={d}")
@@ -129,23 +138,25 @@ def _client_distribution(alg: AlgorithmConfig, d: int,
         variants = [(mpf(1), changes)]
     masses = alg.randomizer.prefix_masses
     num_orders = d.bit_length()
-    probs: dict[tuple[int, tuple[int, ...]], mpf] = {}
+    classes, values = [], []
     for h in range(num_orders):
         L = d >> h
-        outputs = list(itertools.product((-1, 1), repeat=L))
-        total = None
+        outputs = _outputs(L)
+        terms, code = [], 0
         for weight, kept in variants:
             sums = _window_sums(kept, h)
             m = len(sums)
-            base = weight / num_orders * mpf(2) ** (-(L - m))
-            values = [base * x for x in masses[m]]
-            column = [values[sum(omega[w] != s for w, s in sums)] for omega in outputs]
-            total = column if total is None else [a + b for a, b in zip(total, column)]
-        probs.update(zip(((h, omega) for omega in outputs), total))
-    mass = sum(probs.values(), mpf(0))
+            j = (outputs[:, [w for w, _ in sums]] != [s for _, s in sums]).sum(axis=1)
+            code = code * (m + 1) + j
+            terms.append((weight / num_orders * mpf(2) ** (-(L - m)), masses[m], j))
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        values += [sum(base * prefix[j[r]] for base, prefix, j in terms) for r in first]
+        classes.append(inverse + (len(values) - len(first)))
+    classes = np.concatenate(classes)
+    mass = sum((int(c) * v for c, v in zip(np.bincount(classes), values)), mpf(0))
     if abs(mass - 1) > mpf("1e-12"):
         raise ArithmeticError(f"client distribution mass {mass} deviates from 1")
-    return probs
+    return classes, values
 
 
 def _client_algorithm(d: int, k: int, eps: float, algorithm: str) -> AlgorithmConfig:
@@ -162,27 +173,28 @@ def audit_client(d: int, k: int, eps: float,
                  algorithm: str = "futurerand") -> AuditReport:
     """Exact output-probability ratio of the full client on two streams."""
     alg = _client_algorithm(d, k, eps, algorithm)
-    pa = _client_distribution(alg, d, stream_a)
-    pb = _client_distribution(alg, d, stream_b)
-    return _ratio_report(eps, pa, pb, stream_a, stream_b)
+    return _ratio_report(eps, _client_distribution(alg, d, stream_a),
+                         _client_distribution(alg, d, stream_b), stream_a, stream_b)
 
 
-def _ratio_report(eps: float, pa: dict, pb: dict,
+def _ratio_report(eps: float, law_a: tuple, law_b: tuple,
                   stream_a: DerivativeStream, stream_b: DerivativeStream) -> AuditReport:
-    best_ratio = mpf(0)
-    best_key = None
-    for key, va in pa.items():
-        vb = pb[key]
-        ratio = va / vb if va > vb else vb / va
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_key = key
-    h, omega = best_key
+    """Worst ratio over the (h, omega) keys, one exact ratio per class pair;
+    the witness is the first key whose class pair attains it."""
+    (ca, va), (cb, vb) = law_a, law_b
+    present, first = np.unique(ca * len(vb) + cb, return_index=True)
+    ratios = [a / b if a > b else b / a
+              for a, b in ((va[p // len(vb)], vb[p % len(vb)]) for p in present)]
+    best_ratio = max(ratios)
+    index = int(min(i for i, r in zip(first, ratios) if r == best_ratio))
+    d = stream_a.horizon
+    starts = np.cumsum([0] + [1 << (d >> h) for h in range(d.bit_length())])
+    h = int(np.searchsorted(starts, index, side="right")) - 1
     worst = {
         "stream": list(stream_a.entries),
         "stream_alt": list(stream_b.entries),
         "order": h,
-        "output": list(omega),
+        "output": _outputs(d >> h)[index - starts[h]].tolist(),
     }
     return AuditReport.from_ratio(eps, best_ratio, worst)
 
@@ -209,7 +221,6 @@ def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand"
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     alg = _client_algorithm(d, k, eps, algorithm)
     streams = enumerate_streams(d, k)
-    dists = [_client_distribution(alg, d, s) for s in streams]
     if pairs is None:
         index_pairs = list(itertools.combinations(range(len(streams)), 2))
     else:
@@ -217,9 +228,11 @@ def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand"
             rng = np.random.default_rng(0)
         index_pairs = [tuple(rng.choice(len(streams), size=2, replace=False))
                        for _ in range(pairs)]
+    laws = {i: _client_distribution(alg, d, streams[i])
+            for i in set(itertools.chain.from_iterable(index_pairs))}
     worst_report = None
     for i, j in index_pairs:
-        rep = _ratio_report(eps, dists[i], dists[j], streams[i], streams[j])
+        rep = _ratio_report(eps, laws[i], laws[j], streams[i], streams[j])
         if worst_report is None or rep.max_ratio > worst_report.max_ratio:
             worst_report = rep
     return worst_report

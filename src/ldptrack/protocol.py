@@ -207,7 +207,9 @@ def replay(records: Iterable[ReportRecord], alg: AlgorithmConfig, d: int) -> np.
     Each user is registered at the order of its first record; a later
     record at another order, or a time outside [1, d], raises
     ProtocolError, as does everything server_step rejects (a report not
-    due, a duplicate, a missing due report).
+    due, a duplicate, a missing due report).  The records do not list the
+    users, so losing a top-order user's only record, or moving it to a
+    new user id, is not detected.
     """
     batch = records if isinstance(records, ReportBatch) else ReportBatch.of(records)
     user, h, t, bit = batch.rows.T

@@ -97,6 +97,68 @@ def test_audit_report_json_schema():
 # client-level audit
 
 
+def _law_dict(alg, d, stream):
+    """The client law as {(h, omega): p}, expanded from its output classes."""
+    classes, values = _client_distribution(alg, d, stream)
+    keys = [(h, omega) for h in range(d.bit_length())
+            for omega in itertools.product((-1, 1), repeat=d >> h)]
+    assert len(keys) == len(classes)
+    return {key: values[c] for key, c in zip(keys, classes)}
+
+
+def _reference_ratio(pa, pb):
+    """Worst ratio over every (h, omega) key of two expanded laws, and the
+    first key, in key order, that attains it."""
+    best_ratio = mpf(0)
+    best_key = None
+    for key, va in pa.items():
+        vb = pb[key]
+        ratio = va / vb if va > vb else vb / va
+        if ratio > best_ratio:
+            best_ratio = ratio
+            best_key = key
+    return best_ratio, best_key
+
+
+def _reference_sweep(d, k, eps, algo, index_pairs):
+    alg = algorithm_config(algo, k, eps, L=d)
+    streams = enumerate_streams(d, k)
+    laws = {tuple(s.entries): _law_dict(alg, d, s) for s in streams}
+    best = None
+    for i, j in index_pairs:
+        a, b = streams[i].entries, streams[j].entries
+        ratio, (h, omega) = _reference_ratio(laws[tuple(a)], laws[tuple(b)])
+        if best is None or ratio > best[0]:
+            best = ratio, {"stream": list(a), "stream_alt": list(b),
+                           "order": h, "output": list(omega)}
+    return best, laws
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_class_pair_ratio_equals_per_key_reference(algo):
+    # the class-pair ratio and its witness equal the per-key loop exactly
+    # on exhaustive and sampled sweeps; the witness key's own ratio is the maximum
+    runs = [(d, k, 1.0, None) for d, k in ((4, 2), (8, 2))]
+    runs += [(8, 3, eps, 100) for eps in (0.5, 1.0)]
+    for d, k, eps, pairs in runs:
+        n = len(enumerate_streams(d, k))
+        if pairs is None:
+            index_pairs = list(itertools.combinations(range(n), 2))
+            report = audit_client_sweep(d, k, eps, algorithm=algo)
+        else:
+            rng = np.random.default_rng(11)
+            index_pairs = [tuple(rng.choice(n, size=2, replace=False)) for _ in range(pairs)]
+            report = audit_client_sweep(d, k, eps, algorithm=algo, pairs=pairs,
+                                        rng=np.random.default_rng(11))
+        (ratio, worst), laws = _reference_sweep(d, k, eps, algo, index_pairs)
+        assert report.max_ratio == ratio, (algo, d, k, eps)
+        assert report.worst_case == worst, (algo, d, k, eps)
+        key = (worst["order"], tuple(worst["output"]))
+        va = laws[tuple(worst["stream"])][key]
+        vb = laws[tuple(worst["stream_alt"])][key]
+        assert max(va / vb, vb / va) == report.max_ratio
+
+
 def test_audit_client_identical_streams():
     stream = derive((0, 1, 1, 0), k=2)
     report = audit_client(4, 2, 1.0, stream, stream)
@@ -131,6 +193,19 @@ def test_audit_client_sweep_exhaustive_small():
     assert report.max_ratio > 1
 
 
+@pytest.mark.parametrize("d, k, eps, expected", [
+    (4, 2, 0.5, "1.09826294286254530080729368334"),
+    (4, 2, 1.0, "1.20487482366063273454969627175"),
+    (8, 3, 0.5, "1.13836648603723254396466430183"),
+    (8, 3, 1.0, "1.29509212448965799091089030646"),
+])
+def test_audit_client_sweep_exhaustive_values(d, k, eps, expected):
+    # the exhaustive maxima that the sampled sweeps of criterion 4 and the
+    # benchmark's audit references are held to
+    report = audit_client_sweep(d, k, eps)
+    assert abs(report.max_ratio - mpf(expected)) <= mpf("1e-25") * mpf(expected)
+
+
 def test_audit_client_sweep_sampled():
     report = audit_client_sweep(8, 3, 0.5, pairs=10,
                                 rng=np.random.default_rng(4))
@@ -149,7 +224,7 @@ def test_client_distribution_matches_empirical_sampler():
     # actual online client
     alg = algorithm_config("futurerand", 2, 1.0, L=4)
     stream = derive((0, 1, 1, 0), k=2)
-    law = _client_distribution(alg, 4, stream)
+    law = _law_dict(alg, 4, stream)
     counts = {key: 0 for key in law}
     runs = 30_000
     for seed in range(runs):
@@ -166,7 +241,7 @@ def test_client_distribution_matches_empirical_sampler():
 def test_client_distribution_matches_empirical_sampler_sample_one():
     alg = algorithm_config("sample_one", 2, 1.0, L=4)
     stream = derive((0, 1, 0, 0), k=2)
-    law = _client_distribution(alg, 4, stream)
+    law = _law_dict(alg, 4, stream)
     counts = {key: 0 for key in law}
     runs = 30_000
     for seed in range(runs):
@@ -229,7 +304,7 @@ def test_client_distribution_equals_enumerated_client(algo):
                                                      (0, 1, 1, 0, 1, 1, 1, 1)]]
     for d, k, stream in cases:
         alg = algorithm_config(algo, k, 1.0, L=d)
-        law = _client_distribution(alg, d, stream)
+        law = _law_dict(alg, d, stream)
         oracle = _enumerated_client_law(alg, d, stream)
         assert law.keys() == oracle.keys()
         for key, pr in oracle.items():
@@ -287,7 +362,7 @@ def test_bounded_support_uses_prefix_marginal():
     # marginal of the noise vector
     alg = algorithm_config("futurerand", 2, 1.0, L=4)
     stream = derive((0, 0, 0, 1), k=2)
-    law = _client_distribution(alg, 4, stream)
+    law = _law_dict(alg, 4, stream)
     g = alg.gap
     # at order 0 (L=4), the window at t=4 carries the change
     p_keep = (1 + g) / 2   # P[noise coordinate = +1] for the all-ones input

@@ -83,6 +83,17 @@ def test_audit_client_command(capsys):
     assert payload["pass"] is True
 
 
+def test_audit_client_exhaustive_d8_k3(tmp_path, capsys):
+    out = tmp_path / "client.json"
+    code = main(["audit", "client", "--d", "8", "--k", "3", "--eps", "1",
+                 "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["max_ratio"] == 1.2950921244896580
+    assert payload["worst_case"].keys() == {"stream", "stream_alt", "order", "output"}
+    capsys.readouterr()
+
+
 def test_audit_client_zero_pairs_is_a_config_error(capsys):
     code = main(["audit", "client", "--d", "4", "--k", "2", "--eps", "1",
                  "--pairs", "0"])
