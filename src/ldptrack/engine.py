@@ -3,23 +3,30 @@
 Gives estimates with the same law as one client per user driven through
 the online state machine, in O(n k) work: a user with at most k changes
 has at most k non-zero window sums, and the engine works from change
-events.  Users run in shards of ``SHARD``, each with Philox substreams
-keyed by (seed, repetition, purpose, shard), so runs are bit-reproducible
-and peak memory does not grow with n.  A client reads its noise vector
-in order, one coordinate per non-zero window sum, so the engine draws
-only that many leading coordinates per user, with exactly their law in a
-full draw.  The z fair coins of a window's zero-sum users are summed as
-2 Binomial(z, 1/2) - z, the same law.  Only ``collect_reports`` draws
-every user's bit, coins included, and sums those same bits, so that
-replaying the reports through the server gives bit-identical estimates;
-they come back as one columnar ``ReportBatch``, by order, user, window.
-The two modes draw differently for one seed, and neither in the order
-the per-user clients do.
+events.  Users run in shards of ``SHARD`` (32768), ``WORKERS`` (two) at a
+time on threads; the heavy numpy steps release the GIL.  A shard draws
+only from its own Philox substreams, keyed by (seed, repetition, purpose,
+shard), and the calling thread merges the parts in shard order, so runs
+are bit-reproducible and identical for any pool size, one included.
+Peak memory is bounded by the 65536 rows in flight and does not grow
+with n.  A repetition of one shard runs on the calling thread and starts
+no pool.
+A client reads its noise vector in order, one coordinate per non-zero
+window sum, so the engine draws only that many leading coordinates per
+user, with exactly their law in a full draw.  The z fair coins of a
+window's zero-sum users are summed as 2 Binomial(z, 1/2) - z, the same
+law.  Only ``collect_reports`` draws every user's bit, coins included,
+and sums those same bits, so that replaying the reports through the
+server gives bit-identical estimates; they come back as one columnar
+``ReportBatch``, by order, user, window.  The two modes draw differently
+for one seed, and neither in the order the per-user clients do.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -36,8 +43,10 @@ PURPOSE_ORDERS = 2
 PURPOSE_NOISE = 3
 PURPOSE_BITS = 4
 
-# users per shard: bounds the working set of one repetition
+# users per shard, and shards in flight at once, each on its own thread:
+# WORKERS * SHARD rows bound the working set of one repetition
 SHARD = 1 << 15
+WORKERS = 2
 
 CHANGE_MODELS = ("uniform", "exactly_k", "bursty")
 
@@ -192,11 +201,73 @@ class RepOutcome:
         return float(np.abs(self.estimates - self.truth).max())
 
 
+def _shard_part(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
+                change_model: str, collect_reports: bool, offset: np.ndarray,
+                shard: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | int,
+                                     list[np.ndarray]]:
+    """One shard's truth, window sums, zero-sum users per window, and report
+    blocks per order (only when collecting, which leaves no zero-sum users).
+
+    Draws only from the shard's own substreams, so the part does not depend
+    on the thread that computes it or on the other shards.
+    """
+    k = alg.k
+    num_orders = len(offset) - 1
+    lo = shard * SHARD
+    m = min(SHARD, n - lo)
+    counts, times = sample_changes(
+        m, d, k, change_model, substream(seed, rep, PURPOSE_POPULATION, shard))
+    truth = truth_from_changes(counts, times, d)
+    # every change flips the Boolean value, which starts at 0
+    levels = np.broadcast_to(np.arange(times.shape[1]) % 2 == 0, times.shape)
+    if alg.keep_one:
+        times, levels = _keep_one(counts, times, k,
+                                  substream(seed, rep, PURPOSE_KEEP, shard))
+    h_u = substream(seed, rep, PURPOSE_ORDERS, shard).integers(
+        0, num_orders, size=m).astype(np.int32)
+    user, window, value, rank = _nonzero_windows(times, levels, h_u, k)
+    rng_noise = substream(seed, rep, PURPOSE_NOISE, shard)
+    noise = sample_composed_batch(alg.randomizer, m, rng_noise,
+                                  np.bincount(user, minlength=m))[user, rank]
+    bits = value * noise
+    h_nz = h_u[user]
+    flat = offset[h_nz] + window
+    if not collect_reports:
+        sums = np.bincount(flat, weights=bits, minlength=offset[-1]).astype(np.int64)
+        zeros = (np.repeat(np.bincount(h_u, minlength=num_orders), np.diff(offset))
+                 - np.bincount(flat, minlength=offset[-1]))
+        return truth, sums, zeros, []
+    sums = np.empty(offset[-1], dtype=np.int64)
+    blocks = []
+    rng_bits = substream(seed, rep, PURPOSE_BITS, shard)
+    for h in range(num_orders):
+        rows = np.flatnonzero(h_u == h)
+        L = d >> h
+        R = rng_bits.integers(0, 2, size=(rows.size, L), dtype=np.int8) * 2 - 1
+        at = h_nz == h
+        R[np.searchsorted(rows, user[at]), window[at]] = bits[at]
+        sums[offset[h]:offset[h + 1]] = R.sum(axis=0, dtype=np.int64)
+        cols = np.broadcast_arrays((rows + lo)[:, None], h, np.arange(1, L + 1) << h, R)
+        blocks.append(np.stack(cols, axis=-1, dtype=np.int64).reshape(-1, 4))
+    return truth, sums, 0, blocks
+
+
+def _map_shards(part, num_shards: int) -> Iterator:
+    """``part`` of each shard, in shard order: on ``WORKERS`` threads when
+    there is more than one shard, else on the calling thread."""
+    if min(WORKERS, num_shards) <= 1:
+        yield from map(part, range(num_shards))
+        return
+    # imported on first use: it loads logging, ~10 ms that one-shard runs skip
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(WORKERS, thread_name_prefix="ldptrack-shard") as pool:
+        yield from pool.map(part, range(num_shards))
+
+
 def simulate_rep(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
                  change_model: str = "uniform",
                  collect_reports: bool = False) -> RepOutcome:
     """One repetition: fresh population, all clients, server aggregation."""
-    k = alg.k
     num_orders = d.bit_length()
     # window j (from 0) of order h sits at flat index offset[h] + j
     offset = np.cumsum([0] + [d >> h for h in range(num_orders)])
@@ -204,40 +275,15 @@ def simulate_rep(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
     sums = np.zeros(offset[-1], dtype=np.int64)
     zeros = np.zeros(offset[-1], dtype=np.int64)  # zero-sum users, coins not drawn yet
     blocks: list[list[np.ndarray]] = [[] for _ in range(num_orders)]  # row blocks per order
-    for shard, lo in enumerate(range(0, n, SHARD)):
-        m = min(SHARD, n - lo)
-        counts, times = sample_changes(
-            m, d, k, change_model, substream(seed, rep, PURPOSE_POPULATION, shard))
-        truth += truth_from_changes(counts, times, d)
-        # every change flips the Boolean value, which starts at 0
-        levels = np.broadcast_to(np.arange(times.shape[1]) % 2 == 0, times.shape)
-        if alg.keep_one:
-            times, levels = _keep_one(counts, times, k,
-                                      substream(seed, rep, PURPOSE_KEEP, shard))
-        h_u = substream(seed, rep, PURPOSE_ORDERS, shard).integers(
-            0, num_orders, size=m).astype(np.int32)
-        user, window, value, rank = _nonzero_windows(times, levels, h_u, k)
-        rng_noise = substream(seed, rep, PURPOSE_NOISE, shard)
-        noise = sample_composed_batch(alg.randomizer, m, rng_noise,
-                                      np.bincount(user, minlength=m))[user, rank]
-        bits = value * noise
-        h_nz = h_u[user]
-        flat = offset[h_nz] + window
-        if not collect_reports:
-            sums += np.bincount(flat, weights=bits, minlength=offset[-1]).astype(np.int64)
-            zeros += (np.repeat(np.bincount(h_u, minlength=num_orders), np.diff(offset))
-                      - np.bincount(flat, minlength=offset[-1]))
-            continue
-        rng_bits = substream(seed, rep, PURPOSE_BITS, shard)
-        for h in range(num_orders):
-            rows = np.flatnonzero(h_u == h)
-            L = d >> h
-            R = rng_bits.integers(0, 2, size=(rows.size, L), dtype=np.int8) * 2 - 1
-            at = h_nz == h
-            R[np.searchsorted(rows, user[at]), window[at]] = bits[at]
-            sums[offset[h]:offset[h + 1]] += R.sum(axis=0, dtype=np.int64)
-            cols = np.broadcast_arrays((rows + lo)[:, None], h, np.arange(1, L + 1) << h, R)
-            blocks[h].append(np.stack(cols, axis=-1, dtype=np.int64).reshape(-1, 4))
+    # built here: mpmath's precision is process-wide, so no worker thread runs it
+    alg.randomizer.distance_cdf
+    part = partial(_shard_part, alg, n, d, seed, rep, change_model, collect_reports, offset)
+    for shard_truth, shard_sums, shard_zeros, shard_blocks in _map_shards(part, -(-n // SHARD)):
+        truth += shard_truth
+        sums += shard_sums
+        zeros += shard_zeros
+        for h, block in enumerate(shard_blocks):
+            blocks[h].append(block)
     # the zero-sum users' coins as 2 Binomial(z, 1/2) - z (none left when collecting)
     sums += 2 * substream(seed, rep, PURPOSE_BITS).binomial(zeros, 0.5) - zeros
     per_order = [sums[offset[h]:offset[h + 1]] for h in range(num_orders)]

@@ -3,13 +3,15 @@
 import hashlib
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from ldptrack import engine
 from ldptrack.audit import chi_square
-from ldptrack.baselines import algorithm_config
+from ldptrack.baselines import ALGORITHMS, algorithm_config
 from ldptrack.engine import (CHANGE_MODELS, PURPOSE_POPULATION, SHARD,
                              sample_changes, simulate_rep, substream,
                              truth_from_changes)
@@ -69,21 +71,28 @@ def test_sampler_edge_cases_and_layout():
 
 @pytest.mark.parametrize("n", [5, SHARD + 3, 2 * SHARD])
 def test_shards_cover_every_user_once(n, monkeypatch):
-    sizes = []
+    sizes, threads = [], set()
     sample = engine.sample_changes
 
     def spy(m, *args):
         sizes.append(m)
+        threads.add(threading.current_thread().name)
         return sample(m, *args)
 
     monkeypatch.setattr(engine, "sample_changes", spy)
     d, k = 8, 2
     alg = algorithm_config("futurerand", k, 1.0, L=d)
     out = simulate_rep(alg, n, d, seed=4, rep=1, collect_reports=True)
-    assert sizes == [SHARD] * (n // SHARD) + ([n % SHARD] if n % SHARD else [])
+    expected = [SHARD] * (n // SHARD) + ([n % SHARD] if n % SHARD else [])
+    # shards run on threads, so their calls come in any order
+    assert sorted(sizes) == sorted(expected)
+    if n <= SHARD:  # one shard: the calling thread, no pool
+        assert threads == {threading.current_thread().name}
+    else:
+        assert all(name.startswith("ldptrack-shard") for name in threads)
     truth = sum(truth_from_changes(*sample(m, d, k, "uniform",
                                            substream(4, 1, PURPOSE_POPULATION, s)), d)
-                for s, m in enumerate(sizes))
+                for s, m in enumerate(expected))
     assert np.array_equal(out.truth, truth)
     # records by order, then user, then window; one bit per due window
     keys = [(r.h, r.user, r.t) for r in out.reports]
@@ -97,15 +106,54 @@ def test_shards_cover_every_user_once(n, monkeypatch):
     assert np.array_equal(plain.truth, out.truth)
 
 
-def test_forged_population_with_too_many_nonzero_windows_raises(monkeypatch):
-    def forged(n, d, k, model, rng):
-        # three changes in three windows at orders 0 and 1, against k = 2
-        return np.full(n, 3), np.tile(np.array([1, 3, 5], dtype=np.int32), (n, 1))
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_results_identical_for_any_pool_size(algo, monkeypatch):
+    d, n = 16, 2 * SHARD + 5
+    alg = algorithm_config(algo, 4, 1.0, L=d)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave as often as they can
+    try:
+        # 1 runs on the calling thread alone, 4 runs all three shards at once
+        for workers in (engine.WORKERS, 4, 1):
+            monkeypatch.setattr(engine, "WORKERS", workers)
+            runs[workers] = [simulate_rep(alg, n, d, seed=9, rep=2, collect_reports=collect)
+                             for collect in (False, True)]
+    finally:
+        sys.setswitchinterval(interval)
+    serial = runs.pop(1)
+    assert len(serial[1].reports) > n
+    for pooled in runs.values():
+        for got, want in zip(pooled, serial):
+            assert np.array_equal(got.truth, want.truth)
+            assert np.array_equal(got.estimates, want.estimates)
+            assert got.reports == want.reports
 
-    monkeypatch.setattr(engine, "sample_changes", forged)
+
+def _forged(n, d, k, model, rng):
+    # three changes in three windows at orders 0 and 1, against k = 2
+    return np.full(n, 3), np.tile(np.array([1, 3, 5], dtype=np.int32), (n, 1))
+
+
+def test_forged_population_with_too_many_nonzero_windows_raises(monkeypatch):
+    monkeypatch.setattr(engine, "sample_changes", _forged)
     alg = algorithm_config("futurerand", 2, 1.0, L=8)
     with pytest.raises(SparsityError, match="non-zero window sums"):
         simulate_rep(alg, 50, 8, seed=0, rep=0)
+
+
+def test_sparsity_error_in_the_last_shard_stops_the_pool(monkeypatch):
+    sample = engine.sample_changes
+
+    def last_forged(m, *args):
+        return (sample if m == SHARD else _forged)(m, *args)
+
+    monkeypatch.setattr(engine, "sample_changes", last_forged)
+    alg = algorithm_config("futurerand", 2, 1.0, L=8)
+    before = set(threading.enumerate())
+    with pytest.raises(SparsityError, match="non-zero window sums"):
+        simulate_rep(alg, 2 * SHARD + 5, 8, seed=0, rep=0)
+    assert set(threading.enumerate()) == before
 
 
 # SHA-256 of the NDJSON dump, as written by the engine that built one
