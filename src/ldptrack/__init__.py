@@ -23,6 +23,7 @@ from .randomizer import (DistributionTable, RandomizerConfig,
                          exact_output_distribution, futurerand_config, g_weight,
                          gap_lower_bound_expr, q_star, sample_composed_batch)
 from .audit import (AuditReport, ChiSquareResult, GapDiagnostics, audit_client,
-                    audit_client_sweep, audit_randomizer, chi_square, verify_gap)
+                    audit_client_certificate, audit_client_sweep, audit_randomizer,
+                    chi_square, verify_gap)
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ The randomizer's output law depends on the input only through the Hamming
 distance, so its worst-case ratio over all input pairs and the client
 audit's prefix marginals are both read off that distance law in closed
 form; values stay in extended precision end to end and reports carry
-concrete witnesses.
+concrete witnesses.  The client's worst ratio over all stream pairs is that
+same randomizer ratio (audit_client_certificate), checked against the
+enumeration of streams and outputs (audit_client_sweep, d <= 8, k <= 4).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
-from .baselines import AlgorithmConfig, algorithm_config
+from .baselines import AlgorithmConfig, algorithm_config, client_randomizer
 from .dyadic import DerivativeStream, _check_horizon, derive
 from .errors import CapacityError
 from .randomizer import (RandomizerConfig, distance_law, exact_output_distribution,
@@ -36,6 +38,7 @@ __all__ = [
     "audit_randomizer",
     "audit_client",
     "audit_client_sweep",
+    "audit_client_certificate",
     "enumerate_streams",
     "verify_gap",
     "chi_square",
@@ -48,11 +51,11 @@ class AuditReport:
 
     epsilon: float
     max_ratio: mpf
-    worst_case: dict
+    worst_case: dict | None
     passed: bool
 
     @classmethod
-    def from_ratio(cls, epsilon: float, max_ratio: mpf, worst_case: dict) -> "AuditReport":
+    def from_ratio(cls, epsilon: float, max_ratio: mpf, worst_case: dict | None) -> "AuditReport":
         passed = bool(max_ratio <= mp.exp(mpf(epsilon)) * (1 + RATIO_SLACK))
         return cls(epsilon=epsilon, max_ratio=max_ratio,
                    worst_case=worst_case, passed=passed)
@@ -236,6 +239,39 @@ def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand"
         if worst_report is None or rep.max_ratio > worst_report.max_ratio:
             worst_report = rep
     return worst_report
+
+
+def audit_client_certificate(d: int, k: int, eps: float,
+                             algorithm: str = "futurerand") -> AuditReport:
+    """Worst client-level ratio over all stream pairs, in O(k) at any d and k.
+
+    At order h an output over L = d >> h windows has probability
+    (1 + log2 d)^-1 2^-L sum_v w_v 2^m_v masses[m_v][j_v], with weights w_v
+    summing to 1: one variant for a plain client, one per kept slot for
+    sample-one.  With law the distance law of client_randomizer(alg), of
+    length k' (k, or 1 for sample-one, whose m <= 1), each 2^m masses[m][j]
+    is the mean of 2^k' law[.] over the completions of an m-prefix, so it
+    lies in [2^k' min law, 2^k' max law].  Two streams share h and L, so
+    their ratio is at most max(law) / min(law), audit_randomizer's ratio.
+
+    It is attained whenever 2k <= d: stream a alternates at t = 1..k,
+    stream b at t = k+1..2k, and the order-0 output takes a's sums with
+    the first hi flipped and b's with the first lo flipped (hi, lo the
+    extreme distances; sample-one flips all k when its distance is 1), +1
+    elsewhere.  For 2k > d the ratio is an upper bound with no witness.
+    """
+    _check_horizon(d)
+    alg = algorithm_config(algorithm, k, eps, L=d)
+    report = audit_randomizer(client_randomizer(alg))
+    worst = None
+    if 2 * k <= d:
+        hi, lo = (report.worst_case[key].count(-1) * (k if alg.keep_one else 1)
+                  for key in ("input", "input_alt"))
+        sums = [(-1) ** i for i in range(k)]
+        output = [-s for s in sums[:hi]] + sums[hi:] + [-s for s in sums[:lo]] + sums[lo:]
+        worst = {"stream": sums + [0] * (d - k), "stream_alt": [0] * k + sums + [0] * (d - 2 * k),
+                 "order": 0, "output": output + [1] * (d - 2 * k)}
+    return AuditReport.from_ratio(eps, report.max_ratio, worst)
 
 
 # ---------------------------------------------------------------------------

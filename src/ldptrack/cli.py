@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration or protocol error (also argparse
-usage errors and malformed report records), 3 audit failure.
+Exit codes: 0 success, 2 configuration, protocol or file error (also
+argparse usage errors, malformed report records and a path that cannot be
+read or written), 3 audit failure.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .audit import audit_client_sweep, audit_randomizer
+from .audit import audit_client_certificate, audit_randomizer
 from .baselines import ALGORITHMS, algo_tag, algorithm_config, client_randomizer
 from .engine import CHANGE_MODELS
 from .errors import ConfigError, ProtocolError
@@ -67,14 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     aud_r.add_argument("--algo", type=algo_tag, choices=ALGORITHMS, default="futurerand")
     aud_r.add_argument("--out", type=str, default=None)
 
-    aud_c = aud_sub.add_parser("client", help="enumerate full client outputs")
+    aud_c = aud_sub.add_parser(
+        "client", help="worst full-client ratio over all stream pairs, in O(k) at any d, k; "
+                       "exact with a witness when 2k <= d, an upper bound otherwise")
     aud_c.add_argument("--d", type=int, required=True)
     aud_c.add_argument("--k", type=int, required=True)
     aud_c.add_argument("--eps", type=float, required=True)
     aud_c.add_argument("--algo", type=algo_tag, choices=ALGORITHMS, default="futurerand")
-    aud_c.add_argument("--pairs", type=int, default=None,
-                       help="random stream pairs to test (default: exhaustive)")
-    aud_c.add_argument("--seed", type=int, default=0)
     aud_c.add_argument("--out", type=str, default=None)
 
     gp = sub.add_parser("gap", help="print the exact preservation gap")
@@ -125,18 +123,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_audit_randomizer(args: argparse.Namespace) -> int:
-    alg = algorithm_config(args.algo, args.k, args.eps)
-    report = audit_randomizer(client_randomizer(alg))
-    _emit(report.to_json(), args.out)
-    return EXIT_OK if report.passed else EXIT_AUDIT
-
-
-def _cmd_audit_client(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    report = audit_client_sweep(args.d, args.k, args.eps,
-                                algorithm=args.algo,
-                                pairs=args.pairs, rng=rng)
+def _cmd_audit(args: argparse.Namespace) -> int:
+    if args.target == "randomizer":
+        report = audit_randomizer(client_randomizer(algorithm_config(args.algo, args.k, args.eps)))
+    else:
+        report = audit_client_certificate(args.d, args.k, args.eps, algorithm=args.algo)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_AUDIT
 
@@ -192,21 +183,21 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
+        "audit": _cmd_audit,
         "aggregate": _cmd_aggregate,
         "gap": _cmd_gap,
         "scaling": _cmd_scaling,
     }
     try:
-        if args.command == "audit":
-            if args.target == "randomizer":
-                return _cmd_audit_randomizer(args)
-            return _cmd_audit_client(args)
         return handlers[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

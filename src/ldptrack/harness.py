@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from mpmath import mp, mpf
 
+from .audit import audit_client_certificate
 from .baselines import AlgorithmConfig, algorithm_config, make_client
 from .dyadic import DerivativeStream, TruthSeries, is_power_of_two
 from .engine import (CHANGE_MODELS, simulate_rep, sample_changes, substream,
@@ -136,6 +137,7 @@ class RunMetrics:
 
     def to_json(self) -> dict:
         spec = self.spec
+        certificate = audit_client_certificate(spec.d, spec.k, spec.eps, spec.algo)
         return {
             "spec": {
                 "n": spec.n, "d": spec.d, "k": spec.k, "eps": spec.eps,
@@ -148,6 +150,8 @@ class RunMetrics:
             "reps": [{"max_err": e} for e in self.max_errs],
             "exceedances": sum(e > self.bound for e in self.max_errs),
             "summary": self.summary(),
+            "certified_ratio": float(certificate.max_ratio),
+            "certified": certificate.passed,
         }
 
 

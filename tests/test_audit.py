@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from ldptrack.audit import (audit_client, audit_client_sweep, audit_randomizer,
-                            chi_square, enumerate_streams, verify_gap,
+from ldptrack.audit import (audit_client, audit_client_certificate, audit_client_sweep,
+                            audit_randomizer, chi_square, enumerate_streams, verify_gap,
                             _client_distribution)
 from ldptrack.baselines import (ALGORITHMS, algorithm_config, client_randomizer,
                                 make_client, naive_config)
-from ldptrack.dyadic import derive
+from ldptrack.dyadic import DerivativeStream, derive
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.protocol import ClientState, client_step
 from ldptrack.randomizer import (distance_law, exact_output_distribution, futurerand_config,
@@ -217,6 +217,43 @@ def test_audit_client_all_algorithms():
     for algo in ("futurerand", "naive", "sample_one", "bns19"):
         report = audit_client_sweep(4, 2, 1.0, algorithm=algo)
         assert report.passed, (algo, float(report.max_ratio))
+
+
+def test_audit_client_sweep_rejects_zero_pairs():
+    with pytest.raises(ValueError, match="pairs must be >= 1"):
+        audit_client_sweep(4, 2, 1.0, pairs=0)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_client_certificate_bounds_the_exhaustive_sweep(algo):
+    # the certificate is the sweep's maximum wherever its witness pair fits
+    # (2k <= d) and never below it; at (2, 2) and (4, 4) some algorithms
+    # stay strictly below it
+    tol = mpf("1e-40")
+    grid = [(d, k) for d in (2, 4, 8) for k in range(1, min(3, d) + 1)] + [(4, 4)]
+    for d, k in grid:
+        for eps in (0.5, 1.0):
+            cert = audit_client_certificate(d, k, eps, algorithm=algo).max_ratio
+            swept = audit_client_sweep(d, k, eps, algorithm=algo).max_ratio
+            assert cert >= swept * (1 - tol), (d, k, eps)
+            if 2 * k <= d:
+                assert abs(cert - swept) <= tol * cert, (d, k, eps)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_client_certificate_witness_attains_it(algo):
+    for d, k in ((2, 1), (4, 1), (4, 2), (8, 1), (8, 2), (8, 3), (8, 4)):
+        for eps in (0.5, 1.0):
+            report = audit_client_certificate(d, k, eps, algorithm=algo)
+            w = report.worst_case
+            a, b = (DerivativeStream(tuple(w[key]), k) for key in ("stream", "stream_alt"))
+            alg = algorithm_config(algo, k, eps, L=d)
+            key = (w["order"], tuple(w["output"]))
+            ratio = _law_dict(alg, d, a)[key] / _law_dict(alg, d, b)[key]
+            assert abs(ratio - report.max_ratio) <= mpf("1e-40") * ratio, (d, k, eps)
+            assert abs(audit_client(d, k, eps, a, b, algo).max_ratio - ratio) <= mpf("1e-40") * ratio
+    # no pair of k-change streams fits side by side when 2k > d
+    assert audit_client_certificate(4, 3, 1.0, algorithm=algo).worst_case is None
 
 
 def test_client_distribution_matches_empirical_sampler():

@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
+from ldptrack.audit import audit_client_certificate
 from ldptrack.cli import main
 
 
@@ -15,7 +17,9 @@ def test_simulate_small(capsys, tmp_path):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"spec", "gap", "bound", "regime_ok", "reps", "exceedances",
-                            "summary"}
+                            "summary", "certified_ratio", "certified"}
+    assert payload["certified_ratio"] == float(audit_client_certificate(8, 2, 1.0).max_ratio)
+    assert payload["certified"] is True
     assert payload["exceedances"] == sum(r["max_err"] > payload["bound"]
                                          for r in payload["reps"])
     assert json.loads(out.read_text())["exceedances"] == payload["exceedances"]
@@ -76,8 +80,7 @@ def test_audit_randomizer_command_at_k_1024(capsys, algo):
 
 
 def test_audit_client_command(capsys):
-    code = main(["audit", "client", "--d", "4", "--k", "2", "--eps", "1.0",
-                 "--pairs", "5", "--seed", "1"])
+    code = main(["audit", "client", "--d", "4", "--k", "2", "--eps", "1.0"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
@@ -94,16 +97,44 @@ def test_audit_client_exhaustive_d8_k3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_audit_client_zero_pairs_is_a_config_error(capsys):
-    code = main(["audit", "client", "--d", "4", "--k", "2", "--eps", "1",
-                 "--pairs", "0"])
-    assert code == 2
-    assert "pairs must be >= 1" in capsys.readouterr().err
+def test_audit_client_bad_horizon_is_a_config_error(capsys):
     for algo in ("futurerand", "sample-one"):
         code = main(["audit", "client", "--d", "6", "--k", "2", "--eps", "1",
                      "--algo", algo])
         assert code == 2
         assert "power of two" in capsys.readouterr().err
+
+
+def test_audit_client_certificate_at_d_1024(capsys):
+    started = time.perf_counter()
+    for algo in ("futurerand", "naive", "sample-one", "bns19"):
+        code = main(["audit", "client", "--d", "1024", "--k", "1024", "--eps", "1",
+                     "--algo", algo])
+        assert code == 0, algo
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is True and payload["worst_case"] is None
+    assert time.perf_counter() - started < 10
+    # with 2k <= d the certificate comes with a witness pair and output
+    code = main(["audit", "client", "--d", "1024", "--k", "64", "--eps", "1"])
+    assert code == 0
+    witness = json.loads(capsys.readouterr().out)["worst_case"]
+    assert witness["order"] == 0 and len(witness["output"]) == 1024
+    assert [sum(map(abs, witness[key])) for key in ("stream", "stream_alt")] == [64, 64]
+
+
+def test_file_errors_exit_2_with_the_path(capsys, tmp_path):
+    missing = tmp_path / "missing.ndjson"
+    code = main(["aggregate", "--reports", str(missing), "--d", "8", "--k", "2",
+                 "--eps", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and str(missing) in err
+    (tmp_path / "f").write_text("")
+    code = main(["simulate", "--n", "10", "--d", "8", "--k", "2", "--eps", "1",
+                 "--out", str(tmp_path / "f" / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and str(tmp_path / "f") in err
 
 
 def test_dump_reports(tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_run_experiment_json_schema():
     spec = ExperimentSpec(n=50, d=8, k=2, eps=1.0, beta=0.1, reps=3, seed=1)
     payload = run_experiment(spec).to_json()
     assert set(payload) == {"spec", "gap", "bound", "regime_ok", "reps", "exceedances",
-                            "summary"}
+                            "summary", "certified_ratio", "certified"}
     assert len(payload["reps"]) == 3
     assert all(set(r) == {"max_err"} for r in payload["reps"])
     assert set(payload["summary"]) == {"mean", "stddev", "quantiles"}
