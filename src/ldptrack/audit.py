@@ -22,7 +22,7 @@ from mpmath import mp, mpf
 from .baselines import AlgorithmConfig, algorithm_config, client_randomizer
 from .dyadic import DerivativeStream, _check_horizon, derive
 from .errors import CapacityError
-from .randomizer import (RandomizerConfig, distance_law, exact_output_distribution,
+from .randomizer import (RandomizerConfig, exact_output_distribution,
                          gap_lower_bound_expr, sample_composed_batch)
 
 AUDIT_K = 12          # enumeration bound of verify_gap's table leg
@@ -76,14 +76,10 @@ def audit_randomizer(cfg: RandomizerConfig) -> AuditReport:
     P[s | x] = law[dist(s, x)], and every pair of distances (i, j) occurs:
     s = 1^k with x holding i leading -1s and x' holding j.  So the ratios
     P[s | x] / P[s | x'] are exactly law[i] / law[j] over all (i, j), and
-    the worst one is max(law) / min(law).  The law is checked once for
-    unit mass, sum_i C(k, i) law[i] = 1.  O(k) at any k.
+    the worst one is max(law) / min(law).  O(k) at any k.
     """
     k = cfg.k
-    law = distance_law(cfg)
-    mass = sum((math.comb(k, i) * law[i] for i in range(k + 1)), mpf(0))
-    if abs(mass - 1) > mpf("1e-12"):
-        raise ArithmeticError(f"distance law mass {mass} deviates from 1")
+    law = cfg.distance_law
     hi = max(range(k + 1), key=law.__getitem__)
     lo = min(range(k + 1), key=law.__getitem__)
     worst = {

@@ -157,7 +157,6 @@ class RunMetrics:
 
 def _write_outputs(metrics: RunMetrics, out: Path,
                    first_rep: tuple[np.ndarray, np.ndarray]) -> None:
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(metrics.to_json(), indent=2) + "\n")
     truth, estimates = first_rep
     csv_path = out.with_suffix(".csv")
@@ -180,6 +179,10 @@ def run_experiment(spec: ExperimentSpec,
     ``dump_reports_to`` when given.
     """
     alg = spec.algorithm()
+    # an output path that cannot be made fails before any repetition runs
+    for path in (spec.out, dump_reports_to):
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     max_errs = []
     first_rep = None
     for rep in range(spec.reps):
@@ -191,7 +194,6 @@ def run_experiment(spec: ExperimentSpec,
         if rep == 0:
             first_rep = (outcome.truth, outcome.estimates)
             if collect:
-                dump_reports_to.parent.mkdir(parents=True, exist_ok=True)
                 with dump_reports_to.open("w") as fp:
                     write_reports(outcome.reports, fp)
     metrics = RunMetrics(

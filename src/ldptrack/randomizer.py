@@ -6,7 +6,9 @@ rule on the Hamming distance between input and output: results whose
 distance lies inside [lb, ub] are kept, anything else is replaced by a
 uniform sample from the sign vectors outside the annulus.  The resulting
 output law depends on the input only through the Hamming distance, which
-is what the exact oracles and the sampler below exploit.
+is what the exact oracles and the sampler below exploit: a config derives
+that distance law once, checks its unit mass once, and the gap, the
+sampler's CDF, the prefix masses, the audits and the 2^k table all read it.
 
 All probability arithmetic runs in the logarithmic domain with mpmath at
 50 significant digits; the server later divides by the preservation gap,
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 from mpmath import mp, mpf
@@ -37,7 +39,6 @@ __all__ = [
     "q_star",
     "futurerand_config",
     "rr_config",
-    "distance_law",
     "complement_distances",
     "sample_composed_batch",
     "gap_lower_bound_expr",
@@ -66,10 +67,19 @@ def g_weight(i, k: int, p) -> mpf:
     return mp.exp(i * mp.log(p) + (k - i) * mp.log(1 - p))
 
 
+def _binomials(k: int) -> list[int]:
+    """C(k, i) for i = 0..k, exact, in O(k) integer steps."""
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * (k - i) // (i + 1))
+    return row
+
+
 def complement_distances(k: int, lb: int, ub: int) -> tuple[list[int], list[int]]:
     """Distances outside [lb, ub] and their exact vector counts C(k, i)."""
     dists = [i for i in range(0, k + 1) if not lb <= i <= ub]
-    return dists, [math.comb(k, i) for i in dists]
+    row = _binomials(k)
+    return dists, [row[i] for i in dists]
 
 
 def q_star(k: int, lb: int, ub: int, p) -> mpf:
@@ -80,33 +90,27 @@ def q_star(k: int, lb: int, ub: int, p) -> mpf:
     dists, weights = complement_distances(k, lb, ub)
     if not dists:
         raise ConfigError("annulus covers [0, k]: no outside-annulus mass to average")
-    p = mpf(p)
-    num = mpf(0)
-    den = 0
-    for i, c in zip(dists, weights):
-        num += c * g_weight(i, k, p)
-        den += c
-    return num / mpf(den)
+    num = sum((c * g_weight(i, k, p) for i, c in zip(dists, weights)), mpf(0))
+    return num / mpf(sum(weights))
 
 
 @dataclass(frozen=True)
 class RandomizerConfig:
-    """Derived parameters of a composed randomizer.
+    """A composed randomizer: the parameters a builder chooses.
 
     ``eps`` is the end-to-end budget the annulus construction targets,
-    ``eps_tilde`` the per-bit randomized-response budget, ``p`` the flip
-    probability, [lb, ub] the integer annulus on the Hamming distance and
-    ``gap`` the exact per-coordinate preservation gap.  ``ub_real`` keeps
-    the pre-rounding upper bound for the certified lower-bound expression.
+    ``eps_tilde`` the per-bit randomized-response budget and [lb, ub] the
+    integer annulus on the Hamming distance.  ``ub_real`` keeps the
+    pre-rounding upper bound for the certified lower-bound expression.
+    The flip probability ``p``, the ``distance_law`` and the exact
+    per-coordinate preservation ``gap`` are derived from these, once.
     """
 
     eps: float
     k: int
     eps_tilde: mpf
-    p: mpf
     lb: int
     ub: int
-    gap: mpf
     ub_real: mpf = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -121,6 +125,37 @@ class RandomizerConfig:
         if not 0 < self.gap < 1:
             raise ConfigError(f"gap {float(self.gap)} outside (0, 1)")
 
+    @cached_property
+    def p(self) -> mpf:
+        """Per-bit flip probability 1 / (e^eps_tilde + 1)."""
+        return _flip_probability(self.eps_tilde)
+
+    @cached_property
+    def distance_law(self) -> tuple[mpf, ...]:
+        """Output probability of a single sign vector at each Hamming distance.
+
+        law[i] = g(i) inside the annulus, the common outside-annulus value q*
+        elsewhere.  Checked once for unit mass, sum_i C(k, i) law[i] = 1.
+        """
+        k, lb, ub, p = self.k, self.lb, self.ub, self.p
+        qs = None if self.annulus_full else q_star(k, lb, ub, p)
+        law = tuple(g_weight(i, k, p) if lb <= i <= ub else qs for i in range(k + 1))
+        mass = sum((c * w for c, w in zip(_binomials(k), law)), mpf(0))
+        if abs(mass - 1) > mpf("1e-12"):
+            raise ArithmeticError(f"distance law mass {mass} deviates from 1")
+        return law
+
+    @cached_property
+    def gap(self) -> mpf:
+        """P[output_i = input_i] - P[output_i = -input_i], for every coordinate i.
+
+        The annulus form of _gap_both_forms, checked against the direct form.
+        """
+        annulus, direct = _gap_both_forms(self)
+        if abs(annulus - direct) > mpf("1e-12") * abs(annulus):
+            raise ArithmeticError(f"gap forms disagree: {annulus} vs {direct}")
+        return annulus
+
     @property
     def annulus_full(self) -> bool:
         """True when the annulus covers every distance, i.e. plain independent RR."""
@@ -133,8 +168,7 @@ class RandomizerConfig:
         P[distance = i] = C(k, i) law[i], accumulated in extended precision
         and rounded once per entry; the last entry is exactly 1.
         """
-        law = distance_law(self)
-        cum = list(accumulate(math.comb(self.k, i) * law[i] for i in range(self.k + 1)))
+        cum = list(accumulate(c * w for c, w in zip(_binomials(self.k), self.distance_law)))
         return np.array([float(c / cum[-1]) for c in cum])
 
     @cached_property
@@ -146,7 +180,7 @@ class RandomizerConfig:
         two extensions by coordinate m + 1: masses[m][j] = masses[m + 1][j] +
         masses[m + 1][j + 1], which is sum_r C(k - m, r) law[j + r], in O(k^2).
         """
-        masses = [distance_law(self)]
+        masses = [list(self.distance_law)]
         for _ in range(self.k):
             longer = masses[-1]
             masses.append([a + b for a, b in zip(longer, longer[1:])])
@@ -167,12 +201,8 @@ def _build_config(eps: float, k: int, eps_tilde: mpf,
             f"annulus degenerate after rounding: lb={lb} > ub={ub} "
             f"(k={k}, eps_tilde={float(eps_tilde):.6g}); k too small for this budget"
         )
-    p = _flip_probability(eps_tilde)
-    simplified, two_sum = _gap_both_forms(k, lb, ub, p)
-    if abs(simplified - two_sum) > mpf("1e-12") * abs(simplified):
-        raise ArithmeticError(f"gap forms disagree: {simplified} vs {two_sum}")
-    return RandomizerConfig(eps=eps, k=k, eps_tilde=eps_tilde, p=p,
-                            lb=lb, ub=ub, gap=simplified, ub_real=ub_real)
+    return RandomizerConfig(eps=eps, k=k, eps_tilde=eps_tilde,
+                            lb=lb, ub=ub, ub_real=ub_real)
 
 
 def futurerand_config(k: int, eps: float) -> RandomizerConfig:
@@ -207,35 +237,20 @@ def rr_config(k: int, eps_tilde: float | mpf, eps: float) -> RandomizerConfig:
 # exact quantities
 
 
-def distance_law(cfg: RandomizerConfig) -> list[mpf]:
-    """Output probability of a single sign vector at each Hamming distance.
+def _gap_both_forms(cfg: RandomizerConfig) -> tuple[mpf, mpf]:
+    """The preservation gap, sum_i C(k, i) law[i] (k - 2i)/k, in two forms.
 
-    v[i] = g(i) inside the annulus, the common outside-annulus value q*
-    elsewhere.
+    The annulus form subtracts q* from every term, which removes the
+    outside-annulus terms (sum_i C(k, i) (k - 2i) = 0); the direct form sums
+    every distance.
     """
-    qs = None if cfg.annulus_full else q_star(cfg.k, cfg.lb, cfg.ub, cfg.p)
-    return [
-        g_weight(i, cfg.k, cfg.p) if cfg.lb <= i <= cfg.ub else qs
-        for i in range(cfg.k + 1)
-    ]
-
-
-def _gap_both_forms(k: int, lb: int, ub: int, p: mpf) -> tuple[mpf, mpf]:
-    """The preservation gap via the single-sum and the two-sum expressions."""
-    dists, weights = complement_distances(k, lb, ub)
-    qs = q_star(k, lb, ub, p) if dists else mpf(0)
-    simplified = mpf(0)
-    annulus_g_part = mpf(0)
-    for i in range(lb, ub + 1):
-        c = math.comb(k, i)
-        w = mpf(k - 2 * i) / k
-        simplified += c * (g_weight(i, k, p) - qs) * w
-        annulus_g_part += c * g_weight(i, k, p) * w
-    comp_count_part = mpf(0)
-    for i, c in zip(dists, weights):
-        comp_count_part += c * mpf(k - 2 * i) / k
-    two_sum = annulus_g_part + qs * comp_count_part
-    return simplified, two_sum
+    k, law, comb = cfg.k, cfg.distance_law, _binomials(cfg.k)
+    qs = mpf(0) if cfg.annulus_full else law[0 if cfg.lb > 0 else k]
+    annulus = mpf(0)
+    for i in range(cfg.lb, cfg.ub + 1):
+        annulus += comb[i] * (law[i] - qs) * (mpf(k - 2 * i) / k)
+    direct = sum((comb[i] * law[i] * (k - 2 * i) for i in range(k + 1)), mpf(0)) / k
+    return annulus, direct
 
 
 def gap_lower_bound_expr(cfg: RandomizerConfig) -> mpf | None:
@@ -303,18 +318,6 @@ def sample_composed_batch(cfg: RandomizerConfig, n: int, rng: np.random.Generato
 # exact enumeration oracle
 
 
-def _pack_signs(b, k: int) -> int:
-    """Bit mask of a length-k sign vector: bit i is set where b[i] = -1."""
-    b = np.asarray(b, dtype=np.int8)
-    if b.shape != (k,) or not np.all((b == 1) | (b == -1)):
-        raise ValueError(f"expected a length-{k} vector of -1/+1 entries, got {b.tolist()}")
-    return sum(1 << i for i in range(k) if b[i] == -1)
-
-
-def _unpack_signs(mask: int, k: int) -> tuple[int, ...]:
-    return tuple(-1 if (mask >> i) & 1 else 1 for i in range(k))
-
-
 @dataclass
 class DistributionTable:
     """Exact output distribution of the composed randomizer on one input."""
@@ -338,19 +341,16 @@ class DistributionTable:
 def exact_output_distribution(b, cfg: RandomizerConfig) -> DistributionTable:
     """Full 2^k table of output probabilities for input b; audit oracle.
 
-    Probability g(distance) inside the annulus, q* outside; sums to 1
-    within 1e-12.
+    Output s has probability law[dist(s, b)]: g(distance) inside the
+    annulus, q* outside.  Outputs are keyed in itertools.product order.
     """
     k = cfg.k
-    b_mask = _pack_signs(b, k)
+    b = np.asarray(b)
+    if b.shape != (k,) or not np.all((b == 1) | (b == -1)):
+        raise ValueError(f"expected a length-{k} vector of -1/+1 entries, got {b.tolist()}")
     if k > ENUMERATION_K:
         raise CapacityError(f"k={k} above enumeration bound {ENUMERATION_K}")
-    law = distance_law(cfg)
-    probs = {}
-    for mask in range(1 << k):
-        dist = (mask ^ b_mask).bit_count()
-        probs[_unpack_signs(mask, k)] = law[dist]
-    table = DistributionTable(k=k, input=_unpack_signs(b_mask, k), probs=probs)
-    if abs(table.total() - 1) > mpf("1e-12"):
-        raise ArithmeticError(f"table mass {table.total()} deviates from 1")
-    return table
+    x = tuple(int(v) for v in b)
+    law = cfg.distance_law
+    probs = {s: law[sum(a != c for a, c in zip(s, x))] for s in product((-1, 1), repeat=k)}
+    return DistributionTable(k=k, input=x, probs=probs)

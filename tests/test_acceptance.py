@@ -39,7 +39,7 @@ def test_criterion_1_oracle_normalization_and_randomizer_privacy():
             cfg = futurerand_config(k, eps)
             table = exact_output_distribution(np.ones(k, dtype=np.int8), cfg)
             assert abs(table.total() - 1) <= mpf("1e-12")
-            report = audit_randomizer(cfg)  # all 2^k inputs
+            report = audit_randomizer(cfg)
             limit = mp.exp(mpf(eps)) * (1 + mpf("1e-9"))
             assert report.passed and report.max_ratio <= limit, (k, eps)
             worst_margin = max(worst_margin, float(report.max_ratio / limit))
@@ -59,7 +59,7 @@ def test_criterion_2_gap_exactness():
         assert abs(table.marginal_gap(0) - cfg.gap) <= mpf("1e-10"), k
     for k in (4, 64, 256):
         cfg = futurerand_config(k, 1.0)
-        simplified, two_sum = _gap_both_forms(k, cfg.lb, cfg.ub, cfg.p)
+        simplified, two_sum = _gap_both_forms(cfg)
         assert abs(simplified - two_sum) <= mpf("1e-12") * abs(simplified), k
     deviations = {}
     for k in (4, 64, 256):

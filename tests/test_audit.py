@@ -13,8 +13,7 @@ from ldptrack.baselines import (ALGORITHMS, algorithm_config, client_randomizer,
 from ldptrack.dyadic import DerivativeStream, derive
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.protocol import ClientState, client_step
-from ldptrack.randomizer import (distance_law, exact_output_distribution, futurerand_config,
-                                 rr_config)
+from ldptrack.randomizer import exact_output_distribution, futurerand_config, rr_config
 
 
 def test_audit_plain_rr_ratio_is_exactly_e_eps_tilde():
@@ -383,7 +382,7 @@ def test_prefix_masses_match_collapsed_table():
 def test_prefix_masses_fold_equals_closed_form_sum(k):
     # masses[m][j] = sum_r C(k - m, r) law[j + r]: the O(k^3) form the fold replaced
     for cfg in _buildable_randomizers((k,), (0.5, 1.0), ("futurerand", "naive", "bns19")):
-        law = distance_law(cfg)
+        law = cfg.distance_law
         masses = cfg.prefix_masses
         assert [len(row) for row in masses] == list(range(1, k + 2))
         for m in range(k + 1):

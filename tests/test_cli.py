@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ldptrack import harness
 from ldptrack.audit import audit_client_certificate
 from ldptrack.cli import main
 
@@ -122,19 +123,25 @@ def test_audit_client_certificate_at_d_1024(capsys):
     assert [sum(map(abs, witness[key])) for key in ("stream", "stream_alt")] == [64, 64]
 
 
-def test_file_errors_exit_2_with_the_path(capsys, tmp_path):
+def test_file_errors_exit_2_with_the_path(capsys, tmp_path, monkeypatch):
     missing = tmp_path / "missing.ndjson"
     code = main(["aggregate", "--reports", str(missing), "--d", "8", "--k", "2",
                  "--eps", "1"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("file error:") and str(missing) in err
+    reps = []
+    real = harness.simulate_rep
+    monkeypatch.setattr(harness, "simulate_rep",
+                        lambda *a, **kw: reps.append(1) or real(*a, **kw))
     (tmp_path / "f").write_text("")
-    code = main(["simulate", "--n", "10", "--d", "8", "--k", "2", "--eps", "1",
-                 "--out", str(tmp_path / "f" / "x.json")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("file error:") and str(tmp_path / "f") in err
+    for option, name in (("--out", "x.json"), ("--dump-reports", "r.ndjson")):
+        code = main(["simulate", "--n", "10", "--d", "8", "--k", "2", "--eps", "1",
+                     option, str(tmp_path / "f" / name)])
+        assert code == 2, option
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and str(tmp_path / "f") in err
+        assert reps == [], option
 
 
 def test_dump_reports(tmp_path, capsys):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from ldptrack.audit import chi_square
-from ldptrack.baselines import bns19_config, naive_config
+from ldptrack import randomizer
+from ldptrack.audit import audit_randomizer, chi_square
+from ldptrack.baselines import (ALGORITHMS, algorithm_config, bns19_config,
+                                client_randomizer, naive_config)
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.randomizer import (RandomizerConfig, complement_distances,
                                  exact_output_distribution, futurerand_config,
                                  g_weight, gap_lower_bound_expr,
-                                 distance_law, q_star, rr_config,
+                                 q_star, rr_config,
                                  sample_composed_batch,
-                                 _build_config, _gap_both_forms)
+                                 _build_config, _flip_probability, _gap_both_forms)
 
 ONES = lambda k: np.ones(k, dtype=np.int8)
 
@@ -52,7 +54,59 @@ def test_config_validation_catches_degenerate_annulus():
     cfg = futurerand_config(4, 1.0)
     with pytest.raises(ConfigError):
         RandomizerConfig(eps=cfg.eps, k=cfg.k, eps_tilde=cfg.eps_tilde,
-                         p=cfg.p, lb=3, ub=2, gap=cfg.gap, ub_real=cfg.ub_real)
+                         lb=3, ub=2, ub_real=cfg.ub_real)
+
+
+def _derived_grid():
+    for algo in ALGORITHMS:
+        for k in (1, 2, 3, 8, 64, 256):
+            for eps in (0.25, 0.5, 1.0):
+                try:
+                    alg = algorithm_config(algo, k, eps)
+                except ConfigError:
+                    continue
+                yield from {alg.randomizer, client_randomizer(alg)}
+    yield _build_config(1.0, 4, mpf("0.1"), mpf(2), mpf(4))
+    yield _build_config(1.0, 8, mpf("0.05"), mpf(2), mpf(4))
+
+
+def _reference_gap(k, lb, ub, p):
+    # the annulus form with g and q* evaluated afresh at every distance
+    dists, _ = complement_distances(k, lb, ub)
+    qs = q_star(k, lb, ub, p) if dists else mpf(0)
+    simplified = mpf(0)
+    for i in range(lb, ub + 1):
+        c = math.comb(k, i)
+        w = mpf(k - 2 * i) / k
+        simplified += c * (g_weight(i, k, p) - qs) * w
+    return simplified
+
+
+def test_derived_config_values_equal_the_formulas():
+    cfgs = list(_derived_grid())
+    assert len(cfgs) > 60
+    for cfg in cfgs:
+        k, lb, ub = cfg.k, cfg.lb, cfg.ub
+        assert cfg.p == _flip_probability(cfg.eps_tilde)
+        qs = None if cfg.annulus_full else q_star(k, lb, ub, cfg.p)
+        assert cfg.distance_law == tuple(g_weight(i, k, cfg.p) if lb <= i <= ub else qs
+                                         for i in range(k + 1)), (k, lb, ub)
+        assert cfg.gap == _reference_gap(k, lb, ub, cfg.p), (k, lb, ub)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_exact_readers_share_one_distance_law(algo, monkeypatch):
+    # the CDF, the prefix masses, the audit and the 2^k table all read the
+    # law the config derived: g is evaluated once per distance
+    calls = []
+    monkeypatch.setattr(randomizer, "g_weight",
+                        lambda *a: calls.append(a) or g_weight(*a))
+    cfg = algorithm_config(algo, 8, 1.0).randomizer
+    cfg.distance_cdf
+    cfg.prefix_masses
+    audit_randomizer(cfg)
+    exact_output_distribution(ONES(8), cfg)
+    assert len(calls) == cfg.k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +185,7 @@ def test_outside_annulus_distance_histogram():
     cfg = _build_config(1.0, 8, mpf("0.05"), mpf(2), mpf(4))
     dists, _ = complement_distances(8, 2, 4)
     assert dists == [0, 1, 5, 6, 7, 8]
-    law = distance_law(cfg)
+    law = cfg.distance_law
     batch = sample_composed_batch(cfg, 200_000, np.random.default_rng(21))
     hist = np.bincount((batch == -1).sum(axis=1), minlength=9)
     res = chi_square(hist, [float(math.comb(8, i) * law[i]) for i in range(9)],
@@ -271,7 +325,7 @@ def test_gap_matches_enumerated_marginal():
 def test_gap_forms_agree_up_to_large_k():
     for k in (4, 64, 256, 1024, 4096):
         cfg = futurerand_config(k, 1.0)
-        simplified, two_sum = _gap_both_forms(k, cfg.lb, cfg.ub, cfg.p)
+        simplified, two_sum = _gap_both_forms(cfg)
         assert abs(simplified - two_sum) <= mpf("1e-12") * abs(simplified)
 
 
@@ -320,7 +374,7 @@ def test_distance_law_ratio_at_enumeration_limit():
     # the output law takes one value per distance class, so its spread
     # bounds the worst pair ratio; checked at the k = 12 audit limit
     for eps in (0.25, 1.0):
-        law = distance_law(futurerand_config(12, eps))
+        law = futurerand_config(12, eps).distance_law
         assert max(law) / min(law) <= mp.exp(mpf(eps)) * (1 + mpf("1e-9"))
 
 
@@ -331,6 +385,16 @@ def test_table_mass_and_capacity():
     big = futurerand_config(21, 1.0)
     with pytest.raises(CapacityError):
         exact_output_distribution(ONES(21), big)
+
+
+def test_table_rejects_malformed_input():
+    cfg = futurerand_config(4, 1.0)
+    for b in (ONES(3), ONES(5), [1, 1, 0, 1], [1, -1, 2, 1], [1, 1.5, 1, -1],
+              np.ones((1, 4), dtype=np.int8), np.ones((4, 1), dtype=np.int8)):
+        with pytest.raises(ValueError):
+            exact_output_distribution(b, cfg)
+    with pytest.raises(CapacityError):
+        exact_output_distribution(ONES(21), futurerand_config(21, 1.0))
 
 
 def test_coordinate_gap_uniform_across_coords_and_inputs():
