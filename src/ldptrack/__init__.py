@@ -8,9 +8,7 @@ scales as eps / sqrt(k), three baseline randomizers, exact audits of the
 privacy guarantee, and a Monte-Carlo benchmarking harness.
 """
 
-from .baselines import (ALGORITHMS, AlgorithmConfig, algorithm_config, bns19_config,
-                        futurerand_algorithm, make_client, naive_config,
-                        sample_one_config)
+from .baselines import ALGORITHMS, AlgorithmConfig, algorithm_config, make_client
 from .dyadic import DerivativeStream, TruthSeries, decompose, derive
 from .errors import CapacityError, ConfigError, ProtocolError, SparsityError
 from .harness import (ExperimentSpec, RunMetrics, ScalingStudy, gen_population,
@@ -20,10 +18,9 @@ from .protocol import (ClientState, ReportBatch, ReportRecord, ServerState,
                        client_init, client_step, read_reports, replay, server_init,
                        server_register, server_step, write_reports)
 from .randomizer import (DistributionTable, RandomizerConfig,
-                         exact_output_distribution, futurerand_config, g_weight,
+                         exact_output_distribution, g_weight,
                          gap_lower_bound_expr, q_star, sample_composed_batch)
-from .audit import (AuditReport, ChiSquareResult, GapDiagnostics, audit_client,
-                    audit_client_certificate, audit_client_sweep, audit_randomizer,
-                    chi_square, verify_gap)
+from .audit import (AuditReport, ChiSquareResult, audit_client, audit_client_certificate,
+                    audit_client_sweep, audit_randomizer, chi_square)
 
 __version__ = "0.1.0"

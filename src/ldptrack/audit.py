@@ -1,4 +1,4 @@
-"""Exact privacy audits and gap verification, plus statistical testers.
+"""Exact privacy audits, plus a statistical tester.
 
 The randomizer's output law depends on the input only through the Hamming
 distance, so its worst-case ratio over all input pairs and the client
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,9 @@ from mpmath import mp, mpf
 from .baselines import AlgorithmConfig, algorithm_config, client_randomizer
 from .dyadic import DerivativeStream, _check_horizon, derive
 from .errors import CapacityError
-from .randomizer import (RandomizerConfig, exact_output_distribution,
-                         gap_lower_bound_expr, sample_composed_batch)
+# exact_output_distribution stays an attribute here: perfbench's audit workload wraps it
+from .randomizer import RandomizerConfig, exact_output_distribution  # noqa: F401
 
-AUDIT_K = 12          # enumeration bound of verify_gap's table leg
 CLIENT_AUDIT_D = 8    # client-level audit bounds
 CLIENT_AUDIT_K = 4
 
@@ -34,13 +32,11 @@ RATIO_SLACK = mpf("1e-9")  # absorbs extended-precision rounding on the e^eps te
 __all__ = [
     "AuditReport",
     "ChiSquareResult",
-    "GapDiagnostics",
     "audit_randomizer",
     "audit_client",
     "audit_client_sweep",
     "audit_client_certificate",
     "enumerate_streams",
-    "verify_gap",
     "chi_square",
 ]
 
@@ -268,55 +264,6 @@ def audit_client_certificate(d: int, k: int, eps: float,
         worst = {"stream": sums + [0] * (d - k), "stream_alt": [0] * k + sums + [0] * (d - 2 * k),
                  "order": 0, "output": output + [1] * (d - 2 * k)}
     return AuditReport.from_ratio(eps, report.max_ratio, worst)
-
-
-# ---------------------------------------------------------------------------
-# gap verification
-
-
-@dataclass
-class GapDiagnostics:
-    """Cross-checks of the exact gap: enumeration, Monte-Carlo, lower bound."""
-
-    gap: float
-    enum_gap: float | None
-    enum_ok: bool | None
-    mc_estimate: float
-    mc_sigma: float
-    mc_ok: bool
-    lower_bound: float | None
-    bound_ok: bool | None
-
-    @property
-    def passed(self) -> bool:
-        legs = [self.enum_ok, self.mc_ok, self.bound_ok]
-        return all(ok for ok in legs if ok is not None)
-
-
-def verify_gap(cfg: RandomizerConfig, draws: int = 1_000_000,
-               rng: np.random.Generator | None = None) -> GapDiagnostics:
-    """Check cfg.gap against (a) enumeration for k <= 12, (b) a Monte-Carlo
-    marginal within 4 sigma, (c) the certified lower bound when applicable."""
-    g = cfg.gap
-    enum_gap = enum_ok = None
-    if cfg.k <= AUDIT_K:
-        table = exact_output_distribution(np.ones(cfg.k, dtype=np.int8), cfg)
-        enum_val = table.marginal_gap(0)
-        enum_gap = float(enum_val)
-        enum_ok = bool(abs(enum_val - g) <= mpf("1e-10"))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    # coordinate 0 alone: a length-1 prefix has exactly its law in a full draw
-    first = sample_composed_batch(cfg, draws, rng, np.ones(draws, dtype=np.int64))[:, 0]
-    est = float(first.astype(np.float64).mean())
-    sigma = math.sqrt(max(1e-300, (1 - float(g) ** 2) / draws))
-    mc_ok = abs(est - float(g)) <= 4 * sigma
-    lb = gap_lower_bound_expr(cfg)
-    bound_ok = None if lb is None else bool(0 < lb <= g)
-    return GapDiagnostics(gap=float(g), enum_gap=enum_gap, enum_ok=enum_ok,
-                          mc_estimate=est, mc_sigma=sigma, mc_ok=mc_ok,
-                          lower_bound=None if lb is None else float(lb),
-                          bound_ok=bound_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -247,9 +247,6 @@ class ReportRecord:
     t: int
     bit: int
 
-    def to_json(self) -> str:
-        return _LINE[:-1] % (self.user, self.h, self.t, self.bit)
-
     @classmethod
     def from_json(cls, line: str) -> "ReportRecord":
         obj = json.loads(line)
@@ -298,7 +295,7 @@ def write_reports(records: Iterable[ReportRecord], fp: IO[str]) -> None:
         fp.write(_LINE * len(part) % tuple(part.ravel().tolist()))
 
 
-# The exact line ReportRecord.to_json writes, with ints of at most 18 digits
+# The exact line write_reports writes, with ints of at most 18 digits
 # (so they fit int64); [0-9], since \d also matches non-ASCII digits.  Each
 # line has one parse, so a block that does not match fails in linear time.
 _INT = r"-?(?:0|[1-9][0-9]{0,17})"
@@ -328,10 +325,10 @@ def _blocks(fp: IO[str]) -> Iterator[str]:
 def read_reports(fp: IO[str]) -> ReportBatch:
     """Records of the non-blank lines of fp, read in blocks.
 
-    A block whose lines are all exactly as to_json writes them (the common
-    case) is parsed as one int64 array; any other block goes line by line
-    through from_json, which accepts every JSON object with exactly the
-    four int64 fields and raises ValueError for the rest.  Lines end where
+    A block whose lines are all exactly as write_reports writes them (the
+    common case) is parsed as one int64 array; any other block goes line by
+    line through from_json, which accepts every JSON object with exactly
+    the four int64 fields and raises ValueError for the rest.  Lines end where
     the text fp.read returns has a newline.
     """
     parts = [np.empty((0, 4), dtype=np.int64)]

@@ -17,7 +17,6 @@ so its error enters estimates multiplicatively.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, product
@@ -37,8 +36,6 @@ __all__ = [
     "DistributionTable",
     "g_weight",
     "q_star",
-    "futurerand_config",
-    "rr_config",
     "complement_distances",
     "sample_composed_batch",
     "gap_lower_bound_expr",
@@ -205,34 +202,6 @@ def _build_config(eps: float, k: int, eps_tilde: mpf,
                             lb=lb, ub=ub, ub_real=ub_real)
 
 
-def futurerand_config(k: int, eps: float) -> RandomizerConfig:
-    """Composed-randomizer parameters at per-bit budget eps / (5 sqrt(k)).
-
-    The annulus runs from kp - 2 sqrt(k) to
-    (k/eps_tilde) ln(2 e^eps_tilde / (e^eps_tilde + 1)).  Requires
-    0 < eps <= 1; the annulus construction's guarantees are derived under
-    that assumption.
-    """
-    if not 0 < eps <= 1:
-        raise ConfigError(f"eps={eps} outside (0, 1]")
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    et = mpf(eps) / (5 * mp.sqrt(mpf(k)))
-    lb_real = k * _flip_probability(et) - 2 * mp.sqrt(mpf(k))
-    ub_real = (k / et) * mp.log(2 * mp.exp(et) / (mp.exp(et) + 1))
-    return _build_config(eps, k, et, lb_real, ub_real)
-
-
-def rr_config(k: int, eps_tilde: float | mpf, eps: float) -> RandomizerConfig:
-    """Independent randomized response as a degenerate config (annulus [0, k])."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    et = mpf(eps_tilde)
-    if et <= 0:
-        raise ConfigError("per-bit budget must be > 0")
-    return _build_config(eps, k, et, mpf(0), mpf(k))
-
-
 # ---------------------------------------------------------------------------
 # exact quantities
 
@@ -269,10 +238,11 @@ def gap_lower_bound_expr(cfg: RandomizerConfig) -> mpf | None:
     hi = int(mp.floor(cfg.ub_real - mp.sqrt(mpf(k)) / 2))
     if lo > hi or lo < cfg.lb or hi > cfg.ub:
         return None
-    half = mpf(2) ** (-k)
+    # inside [lb, ub], law[i] is g(i)
+    law, comb, half = cfg.distance_law, _binomials(k), mpf(2) ** (-k)
     total = mpf(0)
     for i in range(lo, hi + 1):
-        total += math.comb(k, i) * (g_weight(i, k, cfg.p) - half) * mpf(k - 2 * i) / k
+        total += comb[i] * (law[i] - half) * mpf(k - 2 * i) / k
     return total
 
 

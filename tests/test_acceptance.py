@@ -13,13 +13,12 @@ import numpy as np
 from mpmath import mp, mpf
 
 from ldptrack.audit import audit_client_sweep, audit_randomizer
-from ldptrack.baselines import (algorithm_config, bns19_config,
-                                futurerand_algorithm)
+from ldptrack.baselines import algorithm_config
 from ldptrack.engine import simulate_rep, substream
 from ldptrack.harness import (ExperimentSpec, gen_population, run_experiment,
                               run_reference, scaling_study)
 from ldptrack.protocol import read_reports, write_reports
-from ldptrack.randomizer import (exact_output_distribution, futurerand_config,
+from ldptrack.randomizer import (exact_output_distribution,
                                  gap_lower_bound_expr,
                                  sample_composed_batch, _gap_both_forms)
 
@@ -36,7 +35,7 @@ def test_criterion_1_oracle_normalization_and_randomizer_privacy():
     worst_margin = 0.0
     for k in range(2, 11):
         for eps in (0.25, 0.5, 1.0):
-            cfg = futurerand_config(k, eps)
+            cfg = algorithm_config("futurerand", k, eps).randomizer
             table = exact_output_distribution(np.ones(k, dtype=np.int8), cfg)
             assert abs(table.total() - 1) <= mpf("1e-12")
             report = audit_randomizer(cfg)
@@ -54,16 +53,16 @@ def test_criterion_2_gap_exactness():
     """Enumeration, algebraic cross-form, and Monte-Carlo agreement."""
     started = time.perf_counter()
     for k in range(2, 11):
-        cfg = futurerand_config(k, 1.0)
+        cfg = algorithm_config("futurerand", k, 1.0).randomizer
         table = exact_output_distribution(np.ones(k, dtype=np.int8), cfg)
         assert abs(table.marginal_gap(0) - cfg.gap) <= mpf("1e-10"), k
     for k in (4, 64, 256):
-        cfg = futurerand_config(k, 1.0)
+        cfg = algorithm_config("futurerand", k, 1.0).randomizer
         simplified, two_sum = _gap_both_forms(cfg)
         assert abs(simplified - two_sum) <= mpf("1e-12") * abs(simplified), k
     deviations = {}
     for k in (4, 64, 256):
-        cfg = futurerand_config(k, 1.0)
+        cfg = algorithm_config("futurerand", k, 1.0).randomizer
         batch = sample_composed_batch(cfg, 1_000_000, substream(4242, 0, k))
         est = float(batch[:, 0].astype(np.float64).mean())
         g = float(cfg.gap)
@@ -81,7 +80,7 @@ def test_criterion_3_gap_lower_bound():
     """Certified summation lower-bounds the gap and stays positive."""
     values = {}
     for k in (64, 256, 1024):
-        cfg = futurerand_config(k, 1.0)
+        cfg = algorithm_config("futurerand", k, 1.0).randomizer
         lower = gap_lower_bound_expr(cfg)
         assert lower is not None and 0 < lower <= cfg.gap, k
         values[k] = float(lower)
@@ -164,14 +163,15 @@ def test_criterion_8_baseline_gap_comparisons():
     """bns19's gap sits below the composed randomizer's and respects its
     analytic upper bound with one fitted constant."""
     for k in (256, 1024):
-        assert bns19_config(k, 1.0).gap < futurerand_algorithm(k, 1.0).gap, k
+        assert (algorithm_config("bns19", k, 1.0).gap
+                < algorithm_config("futurerand", k, 1.0).gap), k
 
     def bound_expr(k, eps):
         log_term = mp.log(k / mpf(eps))
         return (eps / mp.sqrt(k * log_term)
                 + (eps / (k * log_term)) ** (mpf(2) / 3))
 
-    ratios = {k: float(bns19_config(k, 1.0).gap / bound_expr(k, 1.0))
+    ratios = {k: float(algorithm_config("bns19", k, 1.0).gap / bound_expr(k, 1.0))
               for k in (64, 256, 1024)}
     fitted = max(ratios.values())
     assert fitted < 0.5, ratios

@@ -6,18 +6,17 @@ import pytest
 from mpmath import mp, mpf
 
 from ldptrack.audit import (audit_client, audit_client_certificate, audit_client_sweep,
-                            audit_randomizer, chi_square, enumerate_streams, verify_gap,
+                            audit_randomizer, chi_square, enumerate_streams,
                             _client_distribution)
-from ldptrack.baselines import (ALGORITHMS, algorithm_config, client_randomizer,
-                                make_client, naive_config)
+from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer, make_client
 from ldptrack.dyadic import DerivativeStream, derive
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.protocol import ClientState, client_step
-from ldptrack.randomizer import exact_output_distribution, futurerand_config, rr_config
+from ldptrack.randomizer import _build_config, exact_output_distribution
 
 
 def test_audit_plain_rr_ratio_is_exactly_e_eps_tilde():
-    cfg = rr_config(1, mpf("0.4"), eps=0.4)
+    cfg = _build_config(0.4, 1, mpf("0.4"), mpf(0), mpf(1))
     report = audit_randomizer(cfg)
     assert report.passed
     assert abs(report.max_ratio - mp.exp(mpf("0.4"))) < mpf("1e-30")
@@ -26,13 +25,13 @@ def test_audit_plain_rr_ratio_is_exactly_e_eps_tilde():
 def test_audit_randomizer_small_grid():
     for k in (2, 3, 4):
         for eps in (0.25, 1.0):
-            report = audit_randomizer(futurerand_config(k, eps))
+            report = audit_randomizer(algorithm_config("futurerand", k, eps).randomizer)
             assert report.passed, (k, eps, float(report.max_ratio))
             assert report.max_ratio <= mp.exp(mpf(eps)) * (1 + mpf("1e-9"))
 
 
 def test_audit_randomizer_naive_baseline():
-    report = audit_randomizer(naive_config(4, 1.0).randomizer)
+    report = audit_randomizer(algorithm_config("naive", 4, 1.0).randomizer)
     assert report.passed
     # per-coordinate RR at eps/4 composes to a ratio of exactly e^eps
     assert report.max_ratio <= mp.exp(mpf(1)) * (1 + mpf("1e-30"))
@@ -85,7 +84,7 @@ def test_audit_randomizer_large_k(k):
 
 
 def test_audit_report_json_schema():
-    report = audit_randomizer(futurerand_config(2, 1.0))
+    report = audit_randomizer(algorithm_config("futurerand", 2, 1.0).randomizer)
     payload = report.to_json()
     assert set(payload) == {"epsilon", "max_ratio", "pass", "worst_case"}
     assert payload["pass"] is True
@@ -410,31 +409,7 @@ def test_bounded_support_uses_prefix_marginal():
 
 
 # ---------------------------------------------------------------------------
-# verify_gap and chi-square
-
-
-def test_verify_gap_k4_all_legs():
-    diag = verify_gap(futurerand_config(4, 1.0), draws=200_000,
-                      rng=np.random.default_rng(8))
-    assert diag.enum_ok and diag.mc_ok
-    assert diag.bound_ok is None  # certified range degenerate at k=4
-    assert diag.passed
-
-
-def test_verify_gap_large_k_legs():
-    diag = verify_gap(futurerand_config(64, 1.0), draws=300_000,
-                      rng=np.random.default_rng(9))
-    assert diag.enum_ok is None
-    assert diag.mc_ok and diag.bound_ok
-    assert diag.passed
-
-
-def test_verify_gap_full_annulus_equals_rr():
-    cfg = rr_config(6, 0.25, eps=1.5)
-    expected = (mp.exp(mpf("0.25")) - 1) / (mp.exp(mpf("0.25")) + 1)
-    assert abs(cfg.gap - expected) < mpf("1e-12")
-    diag = verify_gap(cfg, draws=200_000, rng=np.random.default_rng(10))
-    assert diag.passed
+# chi-square
 
 
 def test_chi_square_exact_match():

@@ -1,32 +1,34 @@
+import hashlib
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from ldptrack.baselines import (algorithm_config, bns19_config, futurerand_algorithm,
-                                make_client, naive_config, sample_one_config)
+from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer, make_client
 from ldptrack.engine import simulate_rep
 from ldptrack.errors import ConfigError
 from ldptrack.protocol import client_step, server_scale
+from ldptrack.randomizer import gap_lower_bound_expr
 
 
 def test_naive_gap_k1():
-    alg = naive_config(1, 1.0)
+    alg = algorithm_config("naive", 1, 1.0)
     expected = (mp.e - 1) / (mp.e + 1)
     assert abs(alg.gap - expected) < mpf("1e-40")
 
 
 def test_naive_gap_vanishes_for_small_per_coordinate_budget():
-    assert float(naive_config(1000, 0.01).gap) < 1e-4
+    assert float(algorithm_config("naive", 1000, 0.01).gap) < 1e-4
 
 
 def test_naive_accepts_eps_above_one():
-    alg = naive_config(4, 3.0)
+    alg = algorithm_config("naive", 4, 3.0)
     assert alg.randomizer.annulus_full
     assert float(alg.randomizer.eps_tilde) == pytest.approx(0.75)
 
 
 def test_sample_one_parameters():
-    alg = sample_one_config(8, 1.0)
+    alg = algorithm_config("sample_one", 8, 1.0)
     assert alg.server_factor == 8 and alg.keep_one
     expected = (mp.exp(mpf(1) / 2) - 1) / (mp.exp(mpf(1) / 2) + 1)
     assert abs(alg.gap - expected) < mpf("1e-40")
@@ -35,14 +37,14 @@ def test_sample_one_parameters():
 def test_sample_one_k1_scale_comparable_to_futurerand():
     # with a single change both schemes reduce to one randomized-response
     # bit; their estimator scales agree up to a small constant
-    s1 = server_scale(8, sample_one_config(1, 1.0).gap, 1)
-    fr = server_scale(8, futurerand_algorithm(1, 1.0).gap, 1)
+    s1 = server_scale(8, algorithm_config("sample_one", 1, 1.0).gap, 1)
+    fr = server_scale(8, algorithm_config("futurerand", 1, 1.0).gap, 1)
     assert 0.2 < float(s1 / fr) < 5
 
 
 def test_bns19_parameter_identity():
     for k, eps in [(16, 1.0), (256, 1.0), (64, 0.5)]:
-        alg = bns19_config(k, eps)
+        alg = algorithm_config("bns19", k, eps)
         lhs = mpf(eps)
         lam = lhs / (12 * (k + 1) * mp.sqrt(1 + mp.log(1 / lhs)))
         rhs = 6 * alg.randomizer.eps_tilde * mp.sqrt(k * mp.log(1 / lam))
@@ -52,14 +54,14 @@ def test_bns19_parameter_identity():
 
 def test_bns19_gap_below_futurerand():
     for k in (256, 1024):
-        assert bns19_config(k, 1.0).gap < futurerand_algorithm(k, 1.0).gap
+        assert algorithm_config("bns19", k, 1.0).gap < algorithm_config("futurerand", k, 1.0).gap
 
 
 def test_bns19_rejects_bad_eps():
     with pytest.raises(ConfigError):
-        bns19_config(64, 1.5)
+        algorithm_config("bns19", 64, 1.5)
     with pytest.raises(ConfigError):
-        bns19_config(64, 0.0)
+        algorithm_config("bns19", 64, 0.0)
 
 
 def test_gap_ordering_on_grid():
@@ -67,8 +69,8 @@ def test_gap_ordering_on_grid():
     # drops below bns19 once k is large enough that eps/k loses to
     # eps / (6 sqrt(k ln(1/lambda))) (crossover near k ~ 300 at eps = 1)
     for k in (64, 256, 1024):
-        assert bns19_config(k, 1.0).gap <= futurerand_algorithm(k, 1.0).gap
-    assert naive_config(1024, 1.0).gap <= bns19_config(1024, 1.0).gap
+        assert algorithm_config("bns19", k, 1.0).gap <= algorithm_config("futurerand", k, 1.0).gap
+    assert algorithm_config("naive", 1024, 1.0).gap <= algorithm_config("bns19", 1024, 1.0).gap
 
 
 def test_bns19_gap_within_fitted_constant_bound():
@@ -80,7 +82,7 @@ def test_bns19_gap_within_fitted_constant_bound():
         return (eps / mp.sqrt(k * log_term)
                 + (eps / (k * log_term)) ** (mpf(2) / 3))
 
-    ratios = [bns19_config(k, 1.0).gap / expr(k, 1.0)
+    ratios = [algorithm_config("bns19", k, 1.0).gap / expr(k, 1.0)
               for k in (64, 256, 1024)]
     assert max(ratios) < mpf("0.5")
     assert max(ratios) / min(ratios) < 2
@@ -93,15 +95,42 @@ def test_algorithm_config_tags():
         algorithm_config("nope", 4, 1.0)
 
 
-@pytest.mark.parametrize("builder", [futurerand_algorithm, naive_config,
-                                     sample_one_config, bns19_config])
-def test_builders_reject_bad_k_and_eps(builder):
+@pytest.mark.parametrize("tag", ALGORITHMS)
+def test_builders_reject_bad_k_and_eps(tag):
     for k, eps in [(0, 1.0), (4, 0.0), (4, -1.0)]:
         with pytest.raises(ConfigError):
-            builder(k, eps)
-    if builder in (futurerand_algorithm, bns19_config):
+            algorithm_config(tag, k, eps)
+    if tag in ("futurerand", "bns19"):
         with pytest.raises(ConfigError):
-            builder(4, 1.5)
+            algorithm_config(tag, 4, 1.5)
+
+
+def _exact(x):
+    return repr(x.man_exp) if isinstance(x, mpf) else repr(x)
+
+
+def test_every_config_is_pinned():
+    # SHA-256 over the chosen and derived values, the sampler's CDF bytes and
+    # the gap lower bound of each algorithm's randomizer and its client
+    # randomizer, bit for bit, across the grid; the cells that raise are pinned too
+    digest, raised = hashlib.sha256(), set()
+    for tag in ALGORITHMS:
+        for k in (1, 2, 3, 8, 64, 256, 1024):
+            for eps in (0.25, 0.5, 1.0, 1.5):
+                try:
+                    alg = algorithm_config(tag, k, eps)
+                except ConfigError:
+                    raised.add((tag, k, eps))
+                    continue
+                for cfg in (alg.randomizer, client_randomizer(alg)):
+                    fields = (cfg.eps_tilde, cfg.lb, cfg.ub, cfg.ub_real, cfg.p, cfg.gap,
+                              gap_lower_bound_expr(cfg))
+                    digest.update(" ".join(map(_exact, fields)).encode())
+                    digest.update(cfg.distance_cdf.tobytes())
+    assert raised == {(tag, k, 1.5) for tag in ("futurerand", "bns19")
+                      for k in (1, 2, 3, 8, 64, 256, 1024)}
+    assert digest.hexdigest() == (
+        "7d28252f0acb2441a18b73adfc11ae9dfe3e5389d3b6f14609ef7e96b1e7dac3")
 
 
 def test_algorithm_config_rejects_k_above_l():

@@ -61,7 +61,7 @@ def test_decompose_out_of_range():
         decompose(2, 6)  # horizon not a power of two
 
 
-def test_partial_sum_examples():
+def test_window_sums_examples():
     # window sums of the derivative; windows are numbered from 0
     ds = derive((0, 1, 1, 0))
     assert _window_sums(_changes(ds), 1) == [(0, 1), (1, -1)]
@@ -69,7 +69,7 @@ def test_partial_sum_examples():
     assert _window_sums(_changes(derive((0, 1, 0, 0))), 0) == [(1, 1), (2, -1)]
 
 
-def test_order_support_examples():
+def test_window_sums_support_examples():
     ds = derive((0, 1, 1, 0))
     assert [w for w, _ in _window_sums(_changes(ds), 1)] == [0, 1]
     assert _window_sums(_changes(ds), 2) == []
@@ -131,7 +131,7 @@ def test_decompose_structure(log_d, data):
 
 @given(boolean_series(), st.data())
 @settings(max_examples=60)
-def test_order_support_bounded(series, data):
+def test_window_sums_bounded(series, data):
     d = len(series)
     ds = derive(series)
     h = data.draw(st.integers(0, d.bit_length() - 1))

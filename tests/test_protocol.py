@@ -18,11 +18,10 @@ from ldptrack.errors import ProtocolError, SparsityError
 from ldptrack.protocol import (ReportBatch, ReportRecord, client_init, client_step,
                                read_reports, replay, server_init, server_register,
                                server_scale, server_step, write_reports)
-from ldptrack.randomizer import futurerand_config
 
 
 def _client_with_order(k, d, eps, h, start_seed=0):
-    cfg = futurerand_config(k, eps)
+    cfg = algorithm_config("futurerand", k, eps).randomizer
     for seed in range(start_seed, start_seed + 5000):
         state = client_init(cfg, d, np.random.default_rng(seed))
         if state.h == h:
@@ -35,14 +34,14 @@ def _client_with_order(k, d, eps, h, start_seed=0):
 
 
 def test_client_init_horizon_one_forces_order_zero():
-    cfg = futurerand_config(2, 1.0)
+    cfg = algorithm_config("futurerand", 2, 1.0).randomizer
     for seed in range(20):
         state = client_init(cfg, 1, np.random.default_rng(seed))
         assert state.h == 0
 
 
 def test_client_init_order_uniform():
-    cfg = futurerand_config(2, 1.0)
+    cfg = algorithm_config("futurerand", 2, 1.0).randomizer
     counts = np.zeros(4, dtype=np.int64)
     for seed in range(20_000):
         counts[client_init(cfg, 8, np.random.default_rng(seed)).h] += 1
@@ -51,7 +50,7 @@ def test_client_init_order_uniform():
 
 
 def test_client_init_btilde_marginal_matches_gap():
-    cfg = futurerand_config(2, 1.0)
+    cfg = algorithm_config("futurerand", 2, 1.0).randomizer
     total = 0
     n = 20_000
     for seed in range(n):
@@ -362,9 +361,9 @@ def test_write_reports_exact_bytes():
         '{"user": 1099511627783, "h": 10, "t": 1024, "bit": 1}\n'
         '{"user": 99999, "h": 3, "t": 16, "bit": -1}\n'
     )
-    # the same bytes as json.dumps of the record's fields
-    for rec in records:
-        assert rec.to_json() == json.dumps(
+    # each line is json.dumps of the record's fields
+    for line, rec in zip(buf.getvalue().splitlines(), records, strict=True):
+        assert line == json.dumps(
             {"user": rec.user, "h": rec.h, "t": rec.t, "bit": rec.bit})
 
 

@@ -6,13 +6,12 @@ from mpmath import mp, mpf
 
 from ldptrack import randomizer
 from ldptrack.audit import audit_randomizer, chi_square
-from ldptrack.baselines import (ALGORITHMS, algorithm_config, bns19_config,
-                                client_randomizer, naive_config)
+from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.randomizer import (RandomizerConfig, complement_distances,
-                                 exact_output_distribution, futurerand_config,
+                                 exact_output_distribution,
                                  g_weight, gap_lower_bound_expr,
-                                 q_star, rr_config,
+                                 q_star,
                                  sample_composed_batch,
                                  _build_config, _flip_probability, _gap_both_forms)
 
@@ -24,7 +23,7 @@ ONES = lambda k: np.ones(k, dtype=np.int8)
 
 
 def test_futurerand_annulus_k4_eps1():
-    cfg = futurerand_config(4, 1.0)
+    cfg = algorithm_config("futurerand", 4, 1.0).randomizer
     lb, ub = cfg.lb, cfg.ub
     assert lb == 0  # kp - 2 sqrt(k) is negative, clamped
     # independent high-precision evaluation of the upper-bound formula
@@ -35,7 +34,7 @@ def test_futurerand_annulus_k4_eps1():
 
 
 def test_config_fields_k4():
-    cfg = futurerand_config(4, 1.0)
+    cfg = algorithm_config("futurerand", 4, 1.0).randomizer
     assert (cfg.lb, cfg.ub) == (0, 1)
     assert float(cfg.eps_tilde) == pytest.approx(0.1, abs=1e-15)
     assert 0 < float(cfg.p) < 0.5
@@ -43,15 +42,15 @@ def test_config_fields_k4():
 
 def test_futurerand_rejects_large_eps():
     with pytest.raises(ConfigError):
-        futurerand_config(4, 1.5)
+        algorithm_config("futurerand", 4, 1.5)
     with pytest.raises(ConfigError):
-        futurerand_config(4, 0.0)
+        algorithm_config("futurerand", 4, 0.0)
     with pytest.raises(ConfigError):
-        futurerand_config(0, 1.0)
+        algorithm_config("futurerand", 0, 1.0)
 
 
 def test_config_validation_catches_degenerate_annulus():
-    cfg = futurerand_config(4, 1.0)
+    cfg = algorithm_config("futurerand", 4, 1.0).randomizer
     with pytest.raises(ConfigError):
         RandomizerConfig(eps=cfg.eps, k=cfg.k, eps_tilde=cfg.eps_tilde,
                          lb=3, ub=2, ub_real=cfg.ub_real)
@@ -94,19 +93,24 @@ def test_derived_config_values_equal_the_formulas():
         assert cfg.gap == _reference_gap(k, lb, ub, cfg.p), (k, lb, ub)
 
 
-@pytest.mark.parametrize("algo", ALGORITHMS)
-def test_exact_readers_share_one_distance_law(algo, monkeypatch):
-    # the CDF, the prefix masses, the audit and the 2^k table all read the
-    # law the config derived: g is evaluated once per distance
+@pytest.mark.parametrize("algo, k", [pytest.param(a, 8, id=a) for a in ALGORITHMS]
+                         + [pytest.param("futurerand", 64, id="futurerand-k64")])
+def test_exact_readers_share_one_distance_law(algo, k, monkeypatch):
+    # the CDF, the prefix masses, the audit, the 2^k table and the gap lower
+    # bound all read the law the config derived: g is evaluated once per
+    # distance, plus once at ub_real by the lower bound's applicability test
     calls = []
     monkeypatch.setattr(randomizer, "g_weight",
                         lambda *a: calls.append(a) or g_weight(*a))
-    cfg = algorithm_config(algo, 8, 1.0).randomizer
+    cfg = algorithm_config(algo, k, 1.0).randomizer
     cfg.distance_cdf
     cfg.prefix_masses
     audit_randomizer(cfg)
-    exact_output_distribution(ONES(8), cfg)
+    if k <= randomizer.ENUMERATION_K:
+        exact_output_distribution(ONES(k), cfg)
     assert len(calls) == cfg.k + 1
+    gap_lower_bound_expr(cfg)
+    assert len(calls) <= cfg.k + 2
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +118,21 @@ def test_exact_readers_share_one_distance_law(algo, monkeypatch):
 
 
 def test_g_weight_endpoints():
-    cfg = futurerand_config(5, 1.0)
+    cfg = algorithm_config("futurerand", 5, 1.0).randomizer
     p = cfg.p
     assert abs(g_weight(0, 5, p) - (1 - p) ** 5) < mpf("1e-40")
     assert abs(g_weight(5, 5, p) - p ** 5) < mpf("1e-40")
 
 
 def test_g_weight_strictly_decreasing():
-    cfg = futurerand_config(9, 0.5)
+    cfg = algorithm_config("futurerand", 9, 0.5).randomizer
     vals = [g_weight(i, 9, cfg.p) for i in range(10)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_g_shift_identity():
     # g(kp + j) = g(kp) * e^(-eps_tilde * j), checked to 1e-12 relative
-    cfg = futurerand_config(16, 1.0)
+    cfg = algorithm_config("futurerand", 16, 1.0).randomizer
     k, p, et = cfg.k, cfg.p, cfg.eps_tilde
     kp = k * p
     p_avg = g_weight(kp, k, p)
@@ -140,13 +144,13 @@ def test_g_shift_identity():
 
 def test_binomial_normalization():
     for k, eps in [(3, 0.25), (10, 1.0), (64, 1.0)]:
-        cfg = futurerand_config(k, eps)
+        cfg = algorithm_config("futurerand", k, eps).randomizer
         total = sum(math.comb(k, i) * g_weight(i, k, cfg.p) for i in range(k + 1))
         assert abs(total - 1) < mpf("1e-12")
 
 
 def test_q_star_two_term_hand_value():
-    cfg = futurerand_config(2, 1.0)
+    cfg = algorithm_config("futurerand", 2, 1.0).randomizer
     p = cfg.p
     expected = ((1 - p) ** 2 + p ** 2) / 2
     assert abs(q_star(2, 1, 1, p) - expected) < mpf("1e-40")
@@ -158,19 +162,19 @@ def test_q_star_uniform_g_at_half():
 
 
 def test_q_star_below_two_to_minus_k():
-    cfg = futurerand_config(10, 1.0)
+    cfg = algorithm_config("futurerand", 10, 1.0).randomizer
     assert q_star(10, cfg.lb, cfg.ub, cfg.p) <= mpf(2) ** -10
 
 
 def test_q_star_empty_complement():
-    cfg = futurerand_config(4, 1.0)
+    cfg = algorithm_config("futurerand", 4, 1.0).randomizer
     with pytest.raises(ConfigError):
         q_star(4, 0, 4, cfg.p)
 
 
 def test_q_star_vs_g_at_ub_invariant():
     for k, eps in [(4, 1.0), (16, 0.5), (64, 1.0), (256, 1.0)]:
-        cfg = futurerand_config(k, eps)
+        cfg = algorithm_config("futurerand", k, eps).randomizer
         qs = q_star(k, cfg.lb, cfg.ub, cfg.p)
         assert qs <= mpf(2) ** -k <= g_weight(cfg.ub, k, cfg.p)
 
@@ -211,7 +215,7 @@ def test_outside_annulus_flip_sets_uniform():
 def test_full_annulus_is_plain_rr():
     # annulus [0, k]: the distance law is C(k, i) g(i), so the output
     # distance is Binomial(k, p)
-    cfg = rr_config(6, 0.2, eps=1.2)
+    cfg = _build_config(1.2, 6, mpf(0.2), mpf(0), mpf(6))
     assert cfg.annulus_full
     p = float(cfg.p)
     batch = sample_composed_batch(cfg, 100_000, np.random.default_rng(11))
@@ -223,7 +227,7 @@ def test_full_annulus_is_plain_rr():
 
 def test_compose_randomize_matches_exact_distribution():
     # one draw per call, as each online client makes it
-    cfg = futurerand_config(3, 1.0)
+    cfg = algorithm_config("futurerand", 3, 1.0).randomizer
     table = exact_output_distribution(ONES(3), cfg)
     rng = np.random.default_rng(5)
     counts = {s: 0 for s in table.probs}
@@ -238,7 +242,7 @@ def test_compose_randomize_matches_exact_distribution():
 
 
 def test_batch_sampler_matches_exact_distribution():
-    cfg = futurerand_config(3, 1.0)
+    cfg = algorithm_config("futurerand", 3, 1.0).randomizer
     table = exact_output_distribution(ONES(3), cfg)
     batch = sample_composed_batch(cfg, 1_000_000, np.random.default_rng(17))
     masks = (batch == -1).astype(np.int64) @ (1 << np.arange(3))
@@ -256,7 +260,7 @@ def test_batch_sampler_matches_exact_distribution():
 
 def test_output_distance_law_matches_binomial_g():
     # P[distance = i] = C(k, i) g(i) inside the annulus
-    cfg = futurerand_config(4, 1.0)
+    cfg = algorithm_config("futurerand", 4, 1.0).randomizer
     table = exact_output_distribution(ONES(4), cfg)
     by_distance = {}
     for s, pr in table.probs.items():
@@ -268,9 +272,9 @@ def test_output_distance_law_matches_binomial_g():
 
 
 PREFIX_CONFIGS = {
-    "futurerand": lambda: futurerand_config(6, 1.0),
-    "bns19": lambda: bns19_config(5, 1.0).randomizer,
-    "naive": lambda: naive_config(4, 1.0).randomizer,
+    "futurerand": lambda: algorithm_config("futurerand", 6, 1.0).randomizer,
+    "bns19": lambda: algorithm_config("bns19", 5, 1.0).randomizer,
+    "naive": lambda: algorithm_config("naive", 4, 1.0).randomizer,
     "annulus-2-4-k8": lambda: _build_config(1.0, 8, mpf("0.05"), mpf(2), mpf(4)),
 }
 
@@ -300,7 +304,7 @@ def test_prefix_draws_follow_exact_prefix_law(name):
 
 
 def test_sampling_determinism():
-    cfg = futurerand_config(8, 0.5)
+    cfg = algorithm_config("futurerand", 8, 0.5).randomizer
     a = sample_composed_batch(cfg, 1000, np.random.default_rng(42))
     b = sample_composed_batch(cfg, 1000, np.random.default_rng(42))
     assert np.array_equal(a, b)
@@ -311,20 +315,20 @@ def test_sampling_determinism():
 
 
 def test_gap_full_annulus_equals_rr_gap():
-    cfg = rr_config(5, 0.3, eps=1.5)
+    cfg = _build_config(1.5, 5, mpf(0.3), mpf(0), mpf(5))
     expected = (mp.exp(mpf("0.3")) - 1) / (mp.exp(mpf("0.3")) + 1)
     assert abs(cfg.gap - expected) < mpf("1e-12")
 
 
 def test_gap_matches_enumerated_marginal():
-    cfg = futurerand_config(4, 1.0)
+    cfg = algorithm_config("futurerand", 4, 1.0).randomizer
     table = exact_output_distribution(ONES(4), cfg)
     assert abs(cfg.gap - table.marginal_gap(0)) < mpf("1e-10")
 
 
 def test_gap_forms_agree_up_to_large_k():
     for k in (4, 64, 256, 1024, 4096):
-        cfg = futurerand_config(k, 1.0)
+        cfg = algorithm_config("futurerand", k, 1.0).randomizer
         simplified, two_sum = _gap_both_forms(cfg)
         assert abs(simplified - two_sum) <= mpf("1e-12") * abs(simplified)
 
@@ -332,7 +336,7 @@ def test_gap_forms_agree_up_to_large_k():
 def test_gap_scaling_constant():
     # gap * sqrt(k) / eps stays above a fixed constant on the tested grid
     for k in (16, 64, 256):
-        cfg = futurerand_config(k, 1.0)
+        cfg = algorithm_config("futurerand", k, 1.0).randomizer
         assert cfg.gap >= mpf("0.05") / mp.sqrt(mpf(k))
         lower = gap_lower_bound_expr(cfg)
         if lower is not None:
@@ -340,15 +344,15 @@ def test_gap_scaling_constant():
 
 
 def test_gap_lower_bound_examples():
-    assert gap_lower_bound_expr(futurerand_config(256, 1.0)) > 0
+    assert gap_lower_bound_expr(algorithm_config("futurerand", 256, 1.0).randomizer) > 0
     for k in (64, 256):
-        cfg = futurerand_config(k, 1.0)
+        cfg = algorithm_config("futurerand", k, 1.0).randomizer
         lower = gap_lower_bound_expr(cfg)
         assert lower is not None and lower <= cfg.gap
     # degenerate range at small k: not applicable rather than an error
-    assert gap_lower_bound_expr(futurerand_config(4, 1.0)) is None
+    assert gap_lower_bound_expr(algorithm_config("futurerand", 4, 1.0).randomizer) is None
     # the identity g(ub_real) = 2^-k does not hold for plain RR configs
-    assert gap_lower_bound_expr(rr_config(64, 0.01, eps=0.64)) is None
+    assert gap_lower_bound_expr(_build_config(0.64, 64, mpf(0.01), mpf(0), mpf(64))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +360,7 @@ def test_gap_lower_bound_examples():
 
 
 def test_table_k1_is_plain_rr():
-    cfg = rr_config(1, 0.7, eps=0.7)
+    cfg = _build_config(0.7, 1, mpf(0.7), mpf(0), mpf(1))
     table = exact_output_distribution(np.array([-1], dtype=np.int8), cfg)
     p = cfg.p
     assert abs(table.probs[(-1,)] - (1 - p)) < mpf("1e-40")
@@ -364,7 +368,7 @@ def test_table_k1_is_plain_rr():
 
 
 def test_table_ratio_below_e_eps():
-    cfg = futurerand_config(3, 1.0)
+    cfg = algorithm_config("futurerand", 3, 1.0).randomizer
     table = exact_output_distribution(ONES(3), cfg)
     vals = list(table.probs.values())
     assert max(vals) / min(vals) <= mp.exp(mpf(1))
@@ -374,33 +378,33 @@ def test_distance_law_ratio_at_enumeration_limit():
     # the output law takes one value per distance class, so its spread
     # bounds the worst pair ratio; checked at the k = 12 audit limit
     for eps in (0.25, 1.0):
-        law = futurerand_config(12, eps).distance_law
+        law = algorithm_config("futurerand", 12, eps).randomizer.distance_law
         assert max(law) / min(law) <= mp.exp(mpf(eps)) * (1 + mpf("1e-9"))
 
 
 def test_table_mass_and_capacity():
-    cfg = futurerand_config(5, 0.25)
+    cfg = algorithm_config("futurerand", 5, 0.25).randomizer
     table = exact_output_distribution(ONES(5), cfg)
     assert abs(table.total() - 1) < mpf("1e-12")
-    big = futurerand_config(21, 1.0)
+    big = algorithm_config("futurerand", 21, 1.0).randomizer
     with pytest.raises(CapacityError):
         exact_output_distribution(ONES(21), big)
 
 
 def test_table_rejects_malformed_input():
-    cfg = futurerand_config(4, 1.0)
+    cfg = algorithm_config("futurerand", 4, 1.0).randomizer
     for b in (ONES(3), ONES(5), [1, 1, 0, 1], [1, -1, 2, 1], [1, 1.5, 1, -1],
               np.ones((1, 4), dtype=np.int8), np.ones((4, 1), dtype=np.int8)):
         with pytest.raises(ValueError):
             exact_output_distribution(b, cfg)
     with pytest.raises(CapacityError):
-        exact_output_distribution(ONES(21), futurerand_config(21, 1.0))
+        exact_output_distribution(ONES(21), algorithm_config("futurerand", 21, 1.0).randomizer)
 
 
 def test_coordinate_gap_uniform_across_coords_and_inputs():
     # the per-coordinate preservation gap is the same for every coordinate
     # and every input vector
-    cfg = futurerand_config(4, 0.5)
+    cfg = algorithm_config("futurerand", 4, 0.5).randomizer
     g_val = cfg.gap
     rng = np.random.default_rng(2)
     for _ in range(4):
