@@ -7,6 +7,9 @@ form; values stay in extended precision end to end and reports carry
 concrete witnesses.  The client's worst ratio over all stream pairs is that
 same randomizer ratio (audit_client_certificate), checked against the
 enumeration of streams and outputs (audit_client_sweep, d <= 8, k <= 4).
+The enumeration does its exact work once per distinct value in a call:
+each distinct probability gets an int id, each distinct pair of ids one
+exact ratio, and the witness is found by integer argmax over id codes.
 """
 
 from __future__ import annotations
@@ -109,49 +112,72 @@ def _outputs(L: int) -> np.ndarray:
     return np.array(list(itertools.product((-1, 1), repeat=L)), dtype=np.int8)
 
 
-def _client_distribution(alg: AlgorithmConfig, d: int,
-                         stream: DerivativeStream) -> tuple[np.ndarray, list[mpf]]:
-    """Exact law of the full client output (h, reported bit sequence), by class.
+def _client_laws(alg: AlgorithmConfig, d: int,
+                 streams: list[DerivativeStream]) -> tuple[np.ndarray, list[mpf]]:
+    """Exact laws of the full client output (h, reported bit sequence), one row per stream.
 
     At order h with m non-zero window sums, an output has probability
     (1 + log2 d)^-1 2^-(L - m) masses[m][j], j its mismatches with those
     sums: they read the noise vector's m-prefix, the other L - m windows
     report fair coins.  A keep-one client is this client run on the change
     kept in a uniform slot out of k, or on no change for an empty slot.
-    Returns the class of each (h, omega) key, h ascending then _outputs
-    order, and each class's probability; a class is one j per variant.
+    Row i holds, for each (h, omega) key, h ascending then _outputs order,
+    the id of stream i's probability there; values lists them by id.
+    Within a call, streams with the same weighted window sums at an order
+    share that order's law, and equal probabilities share one id.
     """
-    if stream.horizon != d:
-        raise ValueError(f"stream horizon {stream.horizon} != d={d}")
-    changes = [(c, stream.entries[c - 1]) for c in stream.change_times()]
-    if len(changes) > alg.k:
-        raise ValueError(f"stream has {len(changes)} changes, above k={alg.k}")
-    if alg.keep_one:
-        variants = [(mpf(1) / alg.k, [ch]) for ch in changes]
-        variants.append((mpf(alg.k - len(changes)) / alg.k, []))
-    else:
-        variants = [(mpf(1), changes)]
     masses = alg.randomizer.prefix_masses
     num_orders = d.bit_length()
-    classes, values = [], []
-    for h in range(num_orders):
+    value_ids: dict[mpf, int] = {}
+    order_laws: dict[tuple, tuple[np.ndarray, mpf]] = {}
+
+    def order_law(h: int, weighted_sums: tuple) -> tuple[np.ndarray, mpf]:
         L = d >> h
         outputs = _outputs(L)
         terms, code = [], 0
-        for weight, kept in variants:
-            sums = _window_sums(kept, h)
+        for (num, den), sums in weighted_sums:
             m = len(sums)
             j = (outputs[:, [w for w, _ in sums]] != [s for _, s in sums]).sum(axis=1)
             code = code * (m + 1) + j
-            terms.append((weight / num_orders * mpf(2) ** (-(L - m)), masses[m], j))
+            terms.append((mpf(num) / den / num_orders * mpf(2) ** (-(L - m)), masses[m], j))
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        values += [sum(base * prefix[j[r]] for base, prefix, j in terms) for r in first]
-        classes.append(inverse + (len(values) - len(first)))
-    classes = np.concatenate(classes)
-    mass = sum((int(c) * v for c, v in zip(np.bincount(classes), values)), mpf(0))
-    if abs(mass - 1) > mpf("1e-12"):
-        raise ArithmeticError(f"client distribution mass {mass} deviates from 1")
-    return classes, values
+        values = [sum(base * prefix[j[r]] for base, prefix, j in terms) for r in first]
+        mass = sum((int(c) * v for c, v in zip(np.bincount(inverse), values)), mpf(0))
+        ids = np.array([value_ids.setdefault(v, len(value_ids)) for v in values])
+        return ids[inverse], mass
+
+    rows = []
+    for stream in streams:
+        if stream.horizon != d:
+            raise ValueError(f"stream horizon {stream.horizon} != d={d}")
+        changes = [(c, stream.entries[c - 1]) for c in stream.change_times()]
+        if len(changes) > alg.k:
+            raise ValueError(f"stream has {len(changes)} changes, above k={alg.k}")
+        # each variant's weight as (num, den), ints so that it can key the order's law
+        if alg.keep_one:
+            variants = [((1, alg.k), [ch]) for ch in changes]
+            variants.append(((alg.k - len(changes), alg.k), []))
+        else:
+            variants = [((1, 1), changes)]
+        parts, mass = [], mpf(0)
+        for h in range(num_orders):
+            key = h, tuple((weight, tuple(_window_sums(kept, h))) for weight, kept in variants)
+            if key not in order_laws:
+                order_laws[key] = order_law(*key)
+            ids, order_mass = order_laws[key]
+            parts.append(ids)
+            mass += order_mass
+        if abs(mass - 1) > mpf("1e-12"):
+            raise ArithmeticError(f"client distribution mass {mass} deviates from 1")
+        rows.append(np.concatenate(parts))
+    return np.array(rows), list(value_ids)
+
+
+def _client_distribution(alg: AlgorithmConfig, d: int,
+                         stream: DerivativeStream) -> tuple[np.ndarray, list[mpf]]:
+    """One stream's client law: the value id of each (h, omega) key, and the values."""
+    rows, values = _client_laws(alg, d, [stream])
+    return rows[0], values
 
 
 def _client_algorithm(d: int, k: int, eps: float, algorithm: str) -> AlgorithmConfig:
@@ -168,21 +194,29 @@ def audit_client(d: int, k: int, eps: float,
                  algorithm: str = "futurerand") -> AuditReport:
     """Exact output-probability ratio of the full client on two streams."""
     alg = _client_algorithm(d, k, eps, algorithm)
-    return _ratio_report(eps, _client_distribution(alg, d, stream_a),
-                         _client_distribution(alg, d, stream_b), stream_a, stream_b)
+    return _worst_report(eps, alg, d, [stream_a, stream_b], [(0, 1)])
 
 
-def _ratio_report(eps: float, law_a: tuple, law_b: tuple,
-                  stream_a: DerivativeStream, stream_b: DerivativeStream) -> AuditReport:
-    """Worst ratio over the (h, omega) keys, one exact ratio per class pair;
-    the witness is the first key whose class pair attains it."""
-    (ca, va), (cb, vb) = law_a, law_b
-    present, first = np.unique(ca * len(vb) + cb, return_index=True)
+def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
+                  streams: list[DerivativeStream], index_pairs: list) -> AuditReport:
+    """Worst ratio over the (h, omega) keys of the given stream pairs.
+
+    One exact ratio per distinct pair of values in the call; the witness is
+    the first pair, in index_pairs order, that attains it, at its first such key.
+    """
+    used, slots = np.unique(np.asarray(index_pairs), return_inverse=True)
+    ids, values = _client_laws(alg, d, [streams[i] for i in used])
+    slots = slots.reshape(-1, 2)
+    n = len(values)
+    codes = ids[slots[:, 0]] * n + ids[slots[:, 1]]
+    present = np.flatnonzero(np.bincount(codes.ravel(), minlength=n * n))
     ratios = [a / b if a > b else b / a
-              for a, b in ((va[p // len(vb)], vb[p % len(vb)]) for p in present)]
-    best_ratio = max(ratios)
-    index = int(min(i for i, r in zip(first, ratios) if r == best_ratio))
-    d = stream_a.horizon
+              for a, b in ((values[c // n], values[c % n]) for c in present.tolist())]
+    worst_ratio = max(ratios)
+    attains = np.zeros(n * n, dtype=bool)
+    attains[present[[r == worst_ratio for r in ratios]]] = True
+    pair, index = divmod(int(attains[codes].argmax()), codes.shape[1])
+    stream_a, stream_b = (streams[i] for i in used[slots[pair]])
     starts = np.cumsum([0] + [1 << (d >> h) for h in range(d.bit_length())])
     h = int(np.searchsorted(starts, index, side="right")) - 1
     worst = {
@@ -191,7 +225,7 @@ def _ratio_report(eps: float, law_a: tuple, law_b: tuple,
         "order": h,
         "output": _outputs(d >> h)[index - starts[h]].tolist(),
     }
-    return AuditReport.from_ratio(eps, best_ratio, worst)
+    return AuditReport.from_ratio(eps, worst_ratio, worst)
 
 
 def enumerate_streams(d: int, k: int) -> list[DerivativeStream]:
@@ -212,8 +246,9 @@ def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand"
     With ``pairs`` set, that many unordered pairs are drawn uniformly from
     the valid streams; otherwise every pair is checked.
     """
-    if pairs is not None and pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    if pairs is not None and (isinstance(pairs, bool) or not isinstance(pairs, (int, np.integer))
+                              or pairs < 1):
+        raise ValueError(f"pairs must be >= 1 and an int, got {pairs!r}")
     alg = _client_algorithm(d, k, eps, algorithm)
     streams = enumerate_streams(d, k)
     if pairs is None:
@@ -223,14 +258,7 @@ def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand"
             rng = np.random.default_rng(0)
         index_pairs = [tuple(rng.choice(len(streams), size=2, replace=False))
                        for _ in range(pairs)]
-    laws = {i: _client_distribution(alg, d, streams[i])
-            for i in set(itertools.chain.from_iterable(index_pairs))}
-    worst_report = None
-    for i, j in index_pairs:
-        rep = _ratio_report(eps, laws[i], laws[j], streams[i], streams[j])
-        if worst_report is None or rep.max_ratio > worst_report.max_ratio:
-            worst_report = rep
-    return worst_report
+    return _worst_report(eps, alg, d, streams, index_pairs)
 
 
 def audit_client_certificate(d: int, k: int, eps: float,

@@ -8,6 +8,7 @@ the slow, obviously-correct path for cross-checks and report dumps.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from mpmath import mp, mpf
 
-from .audit import audit_client_certificate
+from .audit import AuditReport, audit_client_certificate
 from .baselines import AlgorithmConfig, algorithm_config, make_client
 from .dyadic import DerivativeStream, TruthSeries, is_power_of_two
 from .engine import (CHANGE_MODELS, simulate_rep, sample_changes, substream,
@@ -135,9 +136,14 @@ class RunMetrics:
             },
         }
 
+    @functools.cached_property
+    def certificate(self) -> AuditReport:
+        """The client-level privacy certificate of this run's spec."""
+        spec = self.spec
+        return audit_client_certificate(spec.d, spec.k, spec.eps, spec.algo)
+
     def to_json(self) -> dict:
         spec = self.spec
-        certificate = audit_client_certificate(spec.d, spec.k, spec.eps, spec.algo)
         return {
             "spec": {
                 "n": spec.n, "d": spec.d, "k": spec.k, "eps": spec.eps,
@@ -150,8 +156,8 @@ class RunMetrics:
             "reps": [{"max_err": e} for e in self.max_errs],
             "exceedances": sum(e > self.bound for e in self.max_errs),
             "summary": self.summary(),
-            "certified_ratio": float(certificate.max_ratio),
-            "certified": certificate.passed,
+            "certified_ratio": float(self.certificate.max_ratio),
+            "certified": self.certificate.passed,
         }
 
 

@@ -157,6 +157,52 @@ def test_class_pair_ratio_equals_per_key_reference(algo):
         assert max(va / vb, vb / va) == report.max_ratio
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_exhaustive_sweep_witness_is_first_pair_attaining_the_maximum(algo):
+    # at (8, 3) many pairs tie at the maximum (2366 of 4278 for futurerand):
+    # the witness is the first of them in combinations order, at its first key
+    d, k, eps = 8, 3, 1.0
+    report = audit_client_sweep(d, k, eps, algorithm=algo)
+    alg = algorithm_config(algo, k, eps, L=d)
+    streams = enumerate_streams(d, k)
+    laws = {}
+    for i, j in itertools.combinations(range(len(streams)), 2):
+        for s in (i, j):
+            if s not in laws:
+                laws[s] = _law_dict(alg, d, streams[s])
+        ratio, (h, omega) = _reference_ratio(laws[i], laws[j])
+        if ratio == report.max_ratio:
+            break
+    assert ratio == report.max_ratio
+    assert report.worst_case == {"stream": list(streams[i].entries),
+                                 "stream_alt": list(streams[j].entries),
+                                 "order": h, "output": list(omega)}
+
+
+def test_sweeps_share_no_state_across_calls():
+    # the benchmark's audit jobs, run forward and then in reverse in one
+    # process, give the same reports, each at its own algorithm's and eps's
+    # maximum: a memo kept across calls and keyed without either breaks this
+    jobs = {(4, 2, 1.0, "futurerand", None): "1.20487482366063273454969627175",
+            (4, 2, 1.0, "naive", None): "2.71828182845904523536028747135",
+            (4, 2, 1.0, "sample_one", None): "1.64872127070012814684865078781",
+            (4, 2, 1.0, "bns19", None): "1.13259486024348927104308694039",
+            (8, 3, 0.5, "futurerand", 100): "1.13836648603723254396466430183",
+            (8, 3, 1.0, "futurerand", 100): "1.29509212448965799091089030646"}
+
+    def run(job):
+        d, k, eps, algo, pairs = job
+        report = audit_client_sweep(d, k, eps, algorithm=algo, pairs=pairs,
+                                    rng=np.random.default_rng(5))
+        return report.max_ratio, report.worst_case
+
+    forward = [run(job) for job in jobs]
+    backward = [run(job) for job in reversed(jobs)][::-1]
+    assert [(r._mpf_, w) for r, w in forward] == [(r._mpf_, w) for r, w in backward]
+    for (ratio, _), expected in zip(forward, jobs.values()):
+        assert abs(ratio - mpf(expected)) <= mpf("1e-25") * ratio
+
+
 def test_audit_client_identical_streams():
     stream = derive((0, 1, 1, 0), k=2)
     report = audit_client(4, 2, 1.0, stream, stream)
@@ -218,8 +264,9 @@ def test_audit_client_all_algorithms():
 
 
 def test_audit_client_sweep_rejects_zero_pairs():
-    with pytest.raises(ValueError, match="pairs must be >= 1"):
-        audit_client_sweep(4, 2, 1.0, pairs=0)
+    for pairs in (0, True, 1.5):
+        with pytest.raises(ValueError, match=f"pairs must be >= 1 and an int, got {pairs}"):
+            audit_client_sweep(4, 2, 1.0, pairs=pairs)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

@@ -27,6 +27,26 @@ def test_simulate_small(capsys, tmp_path):
     assert out.exists() and (tmp_path / "sim.csv").exists()
 
 
+def test_simulate_out_certifies_once(capsys, tmp_path, monkeypatch):
+    # the file and stdout share one certificate, computed once per run
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return audit_client_certificate(*args)
+
+    monkeypatch.setattr(harness, "audit_client_certificate", spy)
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--n", "20", "--d", "8", "--k", "2", "--eps", "1.0",
+                 "--reps", "1", "--out", str(out)])
+    assert code == 0
+    assert calls == [(8, 2, 1.0, "futurerand")]
+    expected = float(audit_client_certificate(8, 2, 1.0).max_ratio)
+    for payload in (json.loads(out.read_text()), json.loads(capsys.readouterr().out)):
+        assert payload["certified_ratio"] == expected
+        assert payload["certified"] is True
+
+
 def test_simulate_all_algorithms(capsys):
     for algo in ("futurerand", "naive", "sample-one", "bns19"):
         code = main(["simulate", "--n", "30", "--d", "8", "--k", "2",
