@@ -20,7 +20,7 @@ from .protocol import (ClientState, ReportBatch, ReportRecord, ServerState,
 from .randomizer import (DistributionTable, RandomizerConfig,
                          exact_output_distribution, g_weight,
                          gap_lower_bound_expr, q_star, sample_composed_batch)
-from .audit import (AuditReport, ChiSquareResult, audit_client, audit_client_certificate,
-                    audit_client_sweep, audit_randomizer, chi_square)
+from .audit import (AuditReport, audit_client, audit_client_certificate,
+                    audit_client_sweep, audit_randomizer)
 
 __version__ = "0.1.0"

@@ -1,15 +1,16 @@
-"""Exact privacy audits, plus a statistical tester.
+"""Exact privacy audits.
 
 The randomizer's output law depends on the input only through the Hamming
 distance, so its worst-case ratio over all input pairs and the client
 audit's prefix marginals are both read off that distance law in closed
 form; values stay in extended precision end to end and reports carry
 concrete witnesses.  The client's worst ratio over all stream pairs is that
-same randomizer ratio (audit_client_certificate), checked against the
-enumeration of streams and outputs (audit_client_sweep, d <= 8, k <= 4).
-The enumeration does its exact work once per distinct value in a call:
-each distinct probability gets an int id, each distinct pair of ids one
-exact ratio, and the witness is found by integer argmax over id codes.
+same randomizer ratio (audit_client_certificate), checked against an exact
+oracle that lists no full output: audit_client on one pair at any d, and
+audit_client_sweep over the streams of d <= 16, both at k <= 4.  A pair's
+worst ratio at an order is a function of its overlap signature (plain
+clients) or of the output patterns on the windows its changes touch
+(sample-one), computed once per distinct signature in a call.
 """
 
 from __future__ import annotations
@@ -27,20 +28,18 @@ from .errors import CapacityError
 # exact_output_distribution stays an attribute here: perfbench's audit workload wraps it
 from .randomizer import RandomizerConfig, exact_output_distribution  # noqa: F401
 
-CLIENT_AUDIT_D = 8    # client-level audit bounds
-CLIENT_AUDIT_K = 4
+CLIENT_AUDIT_D = 16   # enumerate_streams walks all 2^d Boolean series
+CLIENT_AUDIT_K = 4    # sample-one enumerates up to 2^(2k) output patterns per pair
 
 RATIO_SLACK = mpf("1e-9")  # absorbs extended-precision rounding on the e^eps test
 
 __all__ = [
     "AuditReport",
-    "ChiSquareResult",
     "audit_randomizer",
     "audit_client",
     "audit_client_sweep",
     "audit_client_certificate",
     "enumerate_streams",
-    "chi_square",
 ]
 
 
@@ -106,84 +105,65 @@ def _window_sums(changes: list[tuple[int, int]], h: int) -> list[tuple[int, int]
     return [(w, s) for w, s in sums.items() if s]
 
 
-@functools.cache
-def _outputs(L: int) -> np.ndarray:
-    """Every +-1 output of length L, one row each, in itertools.product order."""
-    return np.array(list(itertools.product((-1, 1), repeat=L)), dtype=np.int8)
+def _changes(alg: AlgorithmConfig, d: int, stream: DerivativeStream) -> list[tuple[int, int]]:
+    """(time, delta) of each change of a stream the client can run on."""
+    if stream.horizon != d:
+        raise ValueError(f"stream horizon {stream.horizon} != d={d}")
+    changes = [(c, stream.entries[c - 1]) for c in stream.change_times()]
+    if len(changes) > alg.k:
+        raise ValueError(f"stream has {len(changes)} changes, above k={alg.k}")
+    return changes
 
 
-def _client_laws(alg: AlgorithmConfig, d: int,
-                 streams: list[DerivativeStream]) -> tuple[np.ndarray, list[mpf]]:
-    """Exact laws of the full client output (h, reported bit sequence), one row per stream.
+def _units(alg: AlgorithmConfig, changes: list[tuple[int, int]], h: int) -> list[tuple[int, int]]:
+    """(window, sign) of each unit whose mismatch with an order-h output sets
+    the stream's probability: its non-zero window sums, or for sample-one
+    the window and delta of each change, in time order."""
+    if alg.keep_one:
+        return [((c - 1) >> h, v) for c, v in changes]
+    return _window_sums(changes, h)
 
-    At order h with m non-zero window sums, an output has probability
-    (1 + log2 d)^-1 2^-(L - m) masses[m][j], j its mismatches with those
-    sums: they read the noise vector's m-prefix, the other L - m windows
-    report fair coins.  A keep-one client is this client run on the change
-    kept in a uniform slot out of k, or on no change for an empty slot.
-    Row i holds, for each (h, omega) key, h ascending then _outputs order,
-    the id of stream i's probability there; values lists them by id.
-    Within a call, streams with the same weighted window sums at an order
-    share that order's law, and equal probabilities share one id.
+
+def _terms(alg: AlgorithmConfig, units: list, mismatches: list[int]) -> tuple:
+    """A stream's probability at an order-h output over L windows, as the sum
+    of num / den (1 + log2 d)^-1 2^-(L - m) masses[m][j] over its terms
+    (num, den, m, j), one per variant of the client: the client itself, or
+    for sample-one the client on each change kept (weight 1/k each) and on
+    none (the rest).  m counts the variant's non-zero window sums, j the
+    output's mismatches with them; the other windows report fair coins."""
+    if alg.keep_one:
+        return tuple((1, alg.k, 1, j) for j in mismatches) + ((alg.k - len(units), alg.k, 0, 0),)
+    return ((1, 1, len(units), sum(mismatches)),)
+
+
+def _pattern_cells(alg: AlgorithmConfig, h: int, pair_changes: list,
+                   value_id) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """The windows either stream of a pair touches at order h, and the first
+    output pattern on them of each distinct pair of the streams' value ids.
+
+    Pattern r sets window touched[i] to +1 where bit len(touched) - 1 - i of
+    r is set, so r counts up in itertools.product order over the windows
+    ascending, -1 first.  A stream's value depends on r only through the
+    bits of its own windows.
     """
-    masses = alg.randomizer.prefix_masses
-    num_orders = d.bit_length()
-    value_ids: dict[mpf, int] = {}
-    order_laws: dict[tuple, tuple[np.ndarray, mpf]] = {}
-
-    def order_law(h: int, weighted_sums: tuple) -> tuple[np.ndarray, mpf]:
-        L = d >> h
-        outputs = _outputs(L)
-        terms, code = [], 0
-        for (num, den), sums in weighted_sums:
-            m = len(sums)
-            j = (outputs[:, [w for w, _ in sums]] != [s for _, s in sums]).sum(axis=1)
-            code = code * (m + 1) + j
-            terms.append((mpf(num) / den / num_orders * mpf(2) ** (-(L - m)), masses[m], j))
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        values = [sum(base * prefix[j[r]] for base, prefix, j in terms) for r in first]
-        mass = sum((int(c) * v for c, v in zip(np.bincount(inverse), values)), mpf(0))
-        ids = np.array([value_ids.setdefault(v, len(value_ids)) for v in values])
-        return ids[inverse], mass
-
-    rows = []
-    for stream in streams:
-        if stream.horizon != d:
-            raise ValueError(f"stream horizon {stream.horizon} != d={d}")
-        changes = [(c, stream.entries[c - 1]) for c in stream.change_times()]
-        if len(changes) > alg.k:
-            raise ValueError(f"stream has {len(changes)} changes, above k={alg.k}")
-        # each variant's weight as (num, den), ints so that it can key the order's law
-        if alg.keep_one:
-            variants = [((1, alg.k), [ch]) for ch in changes]
-            variants.append(((alg.k - len(changes), alg.k), []))
-        else:
-            variants = [((1, 1), changes)]
-        parts, mass = [], mpf(0)
-        for h in range(num_orders):
-            key = h, tuple((weight, tuple(_window_sums(kept, h))) for weight, kept in variants)
-            if key not in order_laws:
-                order_laws[key] = order_law(*key)
-            ids, order_mass = order_laws[key]
-            parts.append(ids)
-            mass += order_mass
-        if abs(mass - 1) > mpf("1e-12"):
-            raise ArithmeticError(f"client distribution mass {mass} deviates from 1")
-        rows.append(np.concatenate(parts))
-    return np.array(rows), list(value_ids)
-
-
-def _client_distribution(alg: AlgorithmConfig, d: int,
-                         stream: DerivativeStream) -> tuple[np.ndarray, list[mpf]]:
-    """One stream's client law: the value id of each (h, omega) key, and the values."""
-    rows, values = _client_laws(alg, d, [stream])
-    return rows[0], values
+    units = [_units(alg, changes, h) for changes in pair_changes]
+    touched = sorted({w for part in units for w, _ in part})
+    shift = {w: len(touched) - 1 - i for i, w in enumerate(touched)}
+    masks = [sum({1 << shift[w] for w, _ in part}) for part in units]
+    patterns = np.arange(1 << len(touched))
+    ids = []
+    for part, mask in zip(units, masks):
+        words, inverse = np.unique(patterns & mask, return_inverse=True)
+        ids.append(np.array([value_id(_terms(alg, part, [(word >> shift[w] & 1) ^ (s > 0)
+                                                         for w, s in part]))
+                             for word in words.tolist()])[inverse])
+    n = 1 + max(int(i.max()) for i in ids)
+    codes, first = np.unique(ids[0] * n + ids[1], return_index=True)
+    return touched, {divmod(code, n): r for code, r in zip(codes.tolist(), first.tolist())}
 
 
 def _client_algorithm(d: int, k: int, eps: float, algorithm: str) -> AlgorithmConfig:
     _check_horizon(d)
-    if d > CLIENT_AUDIT_D:
-        raise CapacityError(f"d={d} above client audit bound {CLIENT_AUDIT_D}")
     if k > CLIENT_AUDIT_K:
         raise CapacityError(f"k={k} above client audit bound {CLIENT_AUDIT_K}")
     return algorithm_config(algorithm, k, eps, L=d)
@@ -192,44 +172,125 @@ def _client_algorithm(d: int, k: int, eps: float, algorithm: str) -> AlgorithmCo
 def audit_client(d: int, k: int, eps: float,
                  stream_a: DerivativeStream, stream_b: DerivativeStream,
                  algorithm: str = "futurerand") -> AuditReport:
-    """Exact output-probability ratio of the full client on two streams."""
+    """Exact output-probability ratio of the full client on two streams, at any d."""
     alg = _client_algorithm(d, k, eps, algorithm)
     return _worst_report(eps, alg, d, [stream_a, stream_b], [(0, 1)])
 
 
 def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
-                  streams: list[DerivativeStream], index_pairs: list) -> AuditReport:
+                  streams: list[DerivativeStream], index_pairs) -> AuditReport:
     """Worst ratio over the (h, omega) keys of the given stream pairs.
 
-    One exact ratio per distinct pair of values in the call; the witness is
-    the first pair, in index_pairs order, that attains it, at its first such key.
+    Each (pair, order) gets a code that fixes the value pairs its outputs
+    reach.  A plain client's is its overlap signature (m_a, m_b, agree,
+    disagree): m counts a stream's non-zero window sums, agree the windows
+    both touch with equal sums and disagree those with opposite sums; an
+    output's mismatches are j_a = x + y + u and j_b = x + (disagree - y) + v
+    over the agreeing, disagreeing and own windows.  Sample-one's is the
+    rank of each change's window among both streams' change windows.
+    Values are taken at order 0: an order-h value is exactly 2^(d - L) times
+    that, a power of two that mpf arithmetic scales by without rounding, so
+    no ratio depends on h.  The witness is the first pair, in index_pairs
+    order, that attains the maximum, at its first such order and the first
+    output in itertools.product order: -1 on every window no change touches.
     """
     used, slots = np.unique(np.asarray(index_pairs), return_inverse=True)
-    ids, values = _client_laws(alg, d, [streams[i] for i in used])
-    slots = slots.reshape(-1, 2)
-    n = len(values)
-    codes = ids[slots[:, 0]] * n + ids[slots[:, 1]]
-    present = np.flatnonzero(np.bincount(codes.ravel(), minlength=n * n))
-    ratios = [a / b if a > b else b / a
-              for a, b in ((values[c // n], values[c % n]) for c in present.tolist())]
-    worst_ratio = max(ratios)
-    attains = np.zeros(n * n, dtype=bool)
-    attains[present[[r == worst_ratio for r in ratios]]] = True
-    pair, index = divmod(int(attains[codes].argmax()), codes.shape[1])
-    stream_a, stream_b = (streams[i] for i in used[slots[pair]])
-    starts = np.cumsum([0] + [1 << (d >> h) for h in range(d.bit_length())])
-    h = int(np.searchsorted(starts, index, side="right")) - 1
-    worst = {
-        "stream": list(stream_a.entries),
-        "stream_alt": list(stream_b.entries),
-        "order": h,
-        "output": _outputs(d >> h)[index - starts[h]].tolist(),
-    }
-    return AuditReport.from_ratio(eps, worst_ratio, worst)
+    pairs = slots.reshape(-1, 2)
+    changes = [_changes(alg, d, streams[i]) for i in used]
+    k, num_orders = alg.k, d.bit_length()
+    masses = alg.randomizer.prefix_masses
+    values: list[mpf] = []
+    value_ids: dict[mpf, int] = {}
+
+    @functools.cache
+    def base(num: int, den: int, m: int) -> mpf:
+        return mpf(num) / den / num_orders * mpf(2) ** (-(d - m))
+
+    @functools.cache
+    def term(num: int, den: int, m: int, j: int) -> mpf:
+        return base(num, den, m) * masses[m][j]
+
+    @functools.cache
+    def partial_sum(terms: tuple) -> mpf | int:
+        # sum() of the terms, left to right: each prefix is added once
+        return partial_sum(terms[:-1]) + term(*terms[-1]) if terms else 0
+
+    @functools.cache
+    def value_id(terms: tuple) -> int:
+        v = partial_sum(terms)
+        if v not in value_ids:
+            value_ids[v] = len(values)
+            values.append(v)
+        return value_ids[v]
+
+    @functools.cache
+    def ratio(id_a: int, id_b: int) -> mpf:
+        a, b = values[id_a], values[id_b]
+        return a / b if a > b else b / a
+
+    codes = np.empty((len(pairs), num_orders), dtype=np.int64)
+    if alg.keep_one:
+        times = np.zeros((len(changes), k), dtype=np.int64)
+        for row, kept in enumerate(changes):
+            times[row, :len(kept)] = [c for c, _ in kept]
+        both = np.concatenate([times[pairs[:, 0]], times[pairs[:, 1]]], axis=1)
+        for h in range(num_orders):
+            windows = np.where(both > 0, (both - 1) >> h, d)
+            order = np.argsort(windows, axis=1)
+            ranked = np.take_along_axis(windows, order, axis=1)
+            rank = np.empty_like(ranked)
+            np.put_along_axis(rank, order, np.cumsum(np.diff(ranked, axis=1, prepend=-1) != 0, axis=1),
+                              axis=1)
+            code = np.zeros(len(pairs), dtype=np.int64)
+            for col in np.where(both > 0, rank, 0).T:
+                code = code * (2 * k + 1) + col
+            codes[:, h] = code
+    else:
+        sums = np.array([streams[i].entries for i in used], dtype=np.int8)
+        for h in range(num_orders):
+            m = np.count_nonzero(sums, axis=1)
+            prod = sums[pairs[:, 0]] * sums[pairs[:, 1]]
+            code = np.zeros(len(pairs), dtype=np.int64)
+            for col in (m[pairs[:, 0]], m[pairs[:, 1]], np.count_nonzero(prod > 0, axis=1),
+                        np.count_nonzero(prod < 0, axis=1)):
+                code = code * (k + 1) + col
+            codes[:, h] = code
+            sums = sums[:, ::2] + sums[:, 1::2]
+
+    distinct, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+    worst_ratios = []
+    for code, at in zip(distinct.tolist(), first.tolist()):
+        pair, h = divmod(at, num_orders)
+        if alg.keep_one:
+            cells = _pattern_cells(alg, h, [changes[s] for s in pairs[pair]], value_id)[1]
+        else:
+            code, disagree = divmod(code, k + 1)
+            code, agree = divmod(code, k + 1)
+            m_a, m_b = divmod(code, k + 1)
+            ids_a, ids_b = ([value_id(((1, 1, m, j),)) for j in range(m + 1)] for m in (m_a, m_b))
+            own_a, own_b = m_a - agree - disagree, m_b - agree - disagree
+            cells = {(ids_a[x + y + u], ids_b[x + disagree - y + v])
+                     for x in range(agree + 1) for y in range(disagree + 1)
+                     for u in range(own_a + 1) for v in range(own_b + 1)}
+        worst_ratios.append(max(itertools.starmap(ratio, cells)))
+    top = max(worst_ratios)
+    attains = np.array([r == top for r in worst_ratios])
+    pair, h = divmod(int(attains[inverse].argmax()), num_orders)
+    touched, cells = _pattern_cells(alg, h, [changes[s] for s in pairs[pair]], value_id)
+    row = min(r for cell, r in cells.items() if ratio(*cell) == top)
+    output = [-1] * (d >> h)
+    for i, w in enumerate(touched):
+        output[w] = 1 if row >> (len(touched) - 1 - i) & 1 else -1
+    stream_a, stream_b = (streams[i] for i in used[pairs[pair]])
+    worst = {"stream": list(stream_a.entries), "stream_alt": list(stream_b.entries),
+             "order": h, "output": output}
+    return AuditReport.from_ratio(eps, top, worst)
 
 
 def enumerate_streams(d: int, k: int) -> list[DerivativeStream]:
     """All derivative streams of Boolean series on [1, d] with at most k changes."""
+    if d > CLIENT_AUDIT_D:
+        raise CapacityError(f"d={d} above stream enumeration bound {CLIENT_AUDIT_D}")
     out = []
     for bits in itertools.product((0, 1), repeat=d):
         changes = sum(b != prev for b, prev in zip(bits, (0,) + bits[:-1]))
@@ -252,7 +313,7 @@ def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand"
     alg = _client_algorithm(d, k, eps, algorithm)
     streams = enumerate_streams(d, k)
     if pairs is None:
-        index_pairs = list(itertools.combinations(range(len(streams)), 2))
+        index_pairs = np.column_stack(np.triu_indices(len(streams), 1))
     else:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -292,60 +353,3 @@ def audit_client_certificate(d: int, k: int, eps: float,
         worst = {"stream": sums + [0] * (d - k), "stream_alt": [0] * k + sums + [0] * (d - 2 * k),
                  "order": 0, "output": output + [1] * (d - 2 * k)}
     return AuditReport.from_ratio(eps, report.max_ratio, worst)
-
-
-# ---------------------------------------------------------------------------
-# chi-square tester
-
-
-@dataclass
-class ChiSquareResult:
-    statistic: float
-    dof: int
-    p_value: float
-    passed: bool
-
-
-def chi_square(observed, expected, significance: float) -> ChiSquareResult:
-    """Pearson chi-square of observed counts against expected weights.
-
-    Bins with expected count below 5 are merged with their neighbours
-    before the test.
-    """
-    obs = np.asarray(observed, dtype=np.float64)
-    weights = np.asarray(expected, dtype=np.float64)
-    if obs.ndim != 1 or obs.shape != weights.shape:
-        raise ValueError("observed and expected must be 1-d arrays of equal length")
-    if np.any(weights <= 0):
-        raise ValueError("expected weights must be positive")
-    if np.any(obs < 0):
-        raise ValueError("observed counts must be non-negative")
-    total = obs.sum()
-    if total <= 0 or len(obs) < 2:
-        raise ValueError("degenerate histogram")
-    exp_counts = total * weights / weights.sum()
-    merged_o: list[float] = []
-    merged_e: list[float] = []
-    acc_o = acc_e = 0.0
-    for o, e in zip(obs, exp_counts):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5:
-            merged_o.append(acc_o)
-            merged_e.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0:
-        if not merged_e:
-            raise ValueError("degenerate histogram: too few expected counts")
-        merged_o[-1] += acc_o
-        merged_e[-1] += acc_e
-    if len(merged_e) < 2:
-        raise ValueError("degenerate histogram: fewer than two bins after merging")
-    o_arr = np.array(merged_o)
-    e_arr = np.array(merged_e)
-    statistic = float(((o_arr - e_arr) ** 2 / e_arr).sum())
-    dof = len(e_arr) - 1
-    # chi-square survival function: regularized upper incomplete gamma Q(dof/2, x/2)
-    p_value = float(mp.gammainc(mpf(dof) / 2, mpf(statistic) / 2, regularized=True))
-    return ChiSquareResult(statistic=statistic, dof=dof, p_value=p_value,
-                           passed=p_value >= significance)

@@ -61,15 +61,6 @@ class DerivativeStream:
     def horizon(self) -> int:
         return len(self.entries)
 
-    def boolean_series(self) -> tuple[int, ...]:
-        """Reconstruct the Boolean values by prefix summation."""
-        out = []
-        acc = 0
-        for e in self.entries:
-            acc += e
-            out.append(acc)
-        return tuple(out)
-
     def change_times(self) -> tuple[int, ...]:
         return tuple(t for t, e in enumerate(self.entries, start=1) if e != 0)
 

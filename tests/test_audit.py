@@ -1,18 +1,20 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from ldptrack.audit import (audit_client, audit_client_certificate, audit_client_sweep,
-                            audit_randomizer, chi_square, enumerate_streams,
-                            _client_distribution)
+                            audit_randomizer, enumerate_streams)
 from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer, make_client
 from ldptrack.dyadic import DerivativeStream, derive
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.protocol import ClientState, client_step
 from ldptrack.randomizer import _build_config, exact_output_distribution
+
+from oracles import chi_square, client_law
 
 
 def test_audit_plain_rr_ratio_is_exactly_e_eps_tilde():
@@ -95,15 +97,6 @@ def test_audit_report_json_schema():
 # client-level audit
 
 
-def _law_dict(alg, d, stream):
-    """The client law as {(h, omega): p}, expanded from its output classes."""
-    classes, values = _client_distribution(alg, d, stream)
-    keys = [(h, omega) for h in range(d.bit_length())
-            for omega in itertools.product((-1, 1), repeat=d >> h)]
-    assert len(keys) == len(classes)
-    return {key: values[c] for key, c in zip(keys, classes)}
-
-
 def _reference_ratio(pa, pb):
     """Worst ratio over every (h, omega) key of two expanded laws, and the
     first key, in key order, that attains it."""
@@ -121,7 +114,7 @@ def _reference_ratio(pa, pb):
 def _reference_sweep(d, k, eps, algo, index_pairs):
     alg = algorithm_config(algo, k, eps, L=d)
     streams = enumerate_streams(d, k)
-    laws = {tuple(s.entries): _law_dict(alg, d, s) for s in streams}
+    laws = {tuple(s.entries): client_law(alg, d, s) for s in streams}
     best = None
     for i, j in index_pairs:
         a, b = streams[i].entries, streams[j].entries
@@ -169,7 +162,7 @@ def test_exhaustive_sweep_witness_is_first_pair_attaining_the_maximum(algo):
     for i, j in itertools.combinations(range(len(streams)), 2):
         for s in (i, j):
             if s not in laws:
-                laws[s] = _law_dict(alg, d, streams[s])
+                laws[s] = client_law(alg, d, streams[s])
         ratio, (h, omega) = _reference_ratio(laws[i], laws[j])
         if ratio == report.max_ratio:
             break
@@ -218,12 +211,16 @@ def test_audit_client_example_pair():
 
 
 def test_audit_client_capacity():
-    s = derive((0,) * 16, k=2)
-    with pytest.raises(CapacityError):
-        audit_client(16, 2, 1.0, s, s)
+    # only the 2^d stream walk and sample-one's 2^(2k) patterns are bounded
+    with pytest.raises(CapacityError, match="d=32"):
+        audit_client_sweep(32, 2, 1.0)
+    with pytest.raises(CapacityError, match="d=32"):
+        enumerate_streams(32, 2)
     s4 = derive((0, 0, 0, 0), k=2)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="k=5"):
         audit_client(4, 5, 1.0, s4, s4)
+    s = derive((0,) * 15 + (1,), k=2)
+    assert audit_client(16, 2, 1.0, s, s).max_ratio == 1
 
 
 def test_enumerate_streams_counts():
@@ -294,11 +291,52 @@ def test_client_certificate_witness_attains_it(algo):
             a, b = (DerivativeStream(tuple(w[key]), k) for key in ("stream", "stream_alt"))
             alg = algorithm_config(algo, k, eps, L=d)
             key = (w["order"], tuple(w["output"]))
-            ratio = _law_dict(alg, d, a)[key] / _law_dict(alg, d, b)[key]
+            ratio = client_law(alg, d, a)[key] / client_law(alg, d, b)[key]
             assert abs(ratio - report.max_ratio) <= mpf("1e-40") * ratio, (d, k, eps)
             assert abs(audit_client(d, k, eps, a, b, algo).max_ratio - ratio) <= mpf("1e-40") * ratio
     # no pair of k-change streams fits side by side when 2k > d
     assert audit_client_certificate(4, 3, 1.0, algorithm=algo).worst_case is None
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_exhaustive_sweep_at_d16_equals_the_certificate(algo):
+    # 697 streams, 242 556 pairs: the signature sweep needs no output list
+    started = time.perf_counter()
+    swept = audit_client_sweep(16, 3, 1.0, algorithm=algo)
+    elapsed = time.perf_counter() - started
+    cert = audit_client_certificate(16, 3, 1.0, algorithm=algo).max_ratio
+    assert abs(swept.max_ratio - cert) <= mpf("1e-40") * cert
+    assert elapsed < 10, f"exhaustive (16, 3) sweep took {elapsed:.1f}s"
+    w = swept.worst_case
+    a, b = (DerivativeStream(tuple(w[key]), 3) for key in ("stream", "stream_alt"))
+    alone = audit_client(16, 3, 1.0, a, b, algo)
+    assert alone.max_ratio == swept.max_ratio and alone.worst_case == w
+
+
+def _alternating_stream(rng, d, k):
+    """Uniform count of changes in [0, k] at uniform distinct times, alternating +1, -1."""
+    entries = [0] * d
+    for i, t in enumerate(np.sort(rng.choice(d, size=rng.integers(0, k + 1), replace=False))):
+        entries[t] = 1 - 2 * (i % 2)
+    return DerivativeStream(tuple(entries), k)
+
+
+def test_audit_client_never_exceeds_the_certificate_at_experiment_size():
+    d, k, eps = 1024, 4, 1.0
+    rng = np.random.default_rng(1024)
+    pairs = [(_alternating_stream(rng, d, k), _alternating_stream(rng, d, k))
+             for _ in range(1000)]
+    for algo in ALGORITHMS:
+        cert = audit_client_certificate(d, k, eps, algorithm=algo)
+        worst = max(audit_client(d, k, eps, a, b, algo).max_ratio for a, b in pairs)
+        assert worst <= cert.max_ratio, (algo, worst, cert.max_ratio)
+        # the certificate's witness pair attains it
+        a, b = (DerivativeStream(tuple(cert.worst_case[key]), k) for key in ("stream", "stream_alt"))
+        attained = audit_client(d, k, eps, a, b, algo).max_ratio
+        if algo == "sample_one":
+            assert abs(attained - cert.max_ratio) <= mpf("1e-40") * cert.max_ratio
+        else:
+            assert attained == cert.max_ratio, algo
 
 
 def test_client_distribution_matches_empirical_sampler():
@@ -306,7 +344,7 @@ def test_client_distribution_matches_empirical_sampler():
     # actual online client
     alg = algorithm_config("futurerand", 2, 1.0, L=4)
     stream = derive((0, 1, 1, 0), k=2)
-    law = _law_dict(alg, 4, stream)
+    law = client_law(alg, 4, stream)
     counts = {key: 0 for key in law}
     runs = 30_000
     for seed in range(runs):
@@ -323,7 +361,7 @@ def test_client_distribution_matches_empirical_sampler():
 def test_client_distribution_matches_empirical_sampler_sample_one():
     alg = algorithm_config("sample_one", 2, 1.0, L=4)
     stream = derive((0, 1, 0, 0), k=2)
-    law = _law_dict(alg, 4, stream)
+    law = client_law(alg, 4, stream)
     counts = {key: 0 for key in law}
     runs = 30_000
     for seed in range(runs):
@@ -386,7 +424,7 @@ def test_client_distribution_equals_enumerated_client(algo):
                                                      (0, 1, 1, 0, 1, 1, 1, 1)]]
     for d, k, stream in cases:
         alg = algorithm_config(algo, k, 1.0, L=d)
-        law = _law_dict(alg, d, stream)
+        law = client_law(alg, d, stream)
         oracle = _enumerated_client_law(alg, d, stream)
         assert law.keys() == oracle.keys()
         for key, pr in oracle.items():
@@ -444,7 +482,7 @@ def test_bounded_support_uses_prefix_marginal():
     # marginal of the noise vector
     alg = algorithm_config("futurerand", 2, 1.0, L=4)
     stream = derive((0, 0, 0, 1), k=2)
-    law = _law_dict(alg, 4, stream)
+    law = client_law(alg, 4, stream)
     g = alg.gap
     # at order 0 (L=4), the window at t=4 carries the change
     p_keep = (1 + g) / 2   # P[noise coordinate = +1] for the all-ones input

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from ldptrack import engine
-from ldptrack.audit import chi_square
 from ldptrack.baselines import ALGORITHMS, algorithm_config
+from ldptrack.dyadic import derive
 from ldptrack.engine import (CHANGE_MODELS, PURPOSE_POPULATION, SHARD,
                              sample_changes, simulate_rep, substream,
                              truth_from_changes)
 from ldptrack.errors import SparsityError
 from ldptrack.protocol import replay, write_reports
+
+from oracles import chi_square, client_law
 
 
 def _subset_histogram(times: np.ndarray, d: int, c: int) -> np.ndarray:
@@ -154,6 +156,35 @@ def test_sparsity_error_in_the_last_shard_stops_the_pool(monkeypatch):
     with pytest.raises(SparsityError, match="non-zero window sums"):
         simulate_rep(alg, 2 * SHARD + 5, 8, seed=0, rep=0)
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("series", [(0, 1, 1, 0, 0, 1, 1, 1), (0, 1, 1, 1, 0, 0, 0, 0)])
+def test_engine_reports_follow_the_audited_client_law(algo, series, monkeypatch):
+    # every user holds one stream, so each user's (h, omega) in the engine's
+    # reports is one draw of the exact client law that the audits certify
+    d, k, n = 8, 3, 40_000
+    stream = derive(series, k=k)
+    times = np.zeros(k, dtype=np.int32)
+    times[:len(stream.change_times())] = stream.change_times()
+
+    def one_stream(m, d, k, model, rng):
+        return np.full(m, len(stream.change_times())), np.tile(times, (m, 1))
+
+    monkeypatch.setattr(engine, "sample_changes", one_stream)
+    alg = algorithm_config(algo, k, 1.0, L=d)
+    rows = simulate_rep(alg, n, d, seed=3, rep=0, collect_reports=True).reports.rows
+    law = client_law(alg, d, stream)
+    counts = dict.fromkeys(law, 0)
+    for h in range(d.bit_length()):
+        outputs, seen = np.unique(rows[rows[:, 1] == h, 3].reshape(-1, d >> h), axis=0,
+                                  return_counts=True)
+        for omega, c in zip(outputs.tolist(), seen.tolist()):
+            counts[h, tuple(omega)] += c
+    assert sum(counts.values()) == n
+    res = chi_square(list(counts.values()), [float(p) for p in law.values()],
+                     significance=0.001)
+    assert res.passed, (algo, series, res)
 
 
 # SHA-256 of the NDJSON dump, as written by the engine that built one

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from ldptrack import protocol
-from ldptrack.audit import chi_square
 from ldptrack.baselines import algorithm_config
 from ldptrack.dyadic import decompose, derive
 from ldptrack.engine import simulate_rep
@@ -18,6 +17,8 @@ from ldptrack.errors import ProtocolError, SparsityError
 from ldptrack.protocol import (ReportBatch, ReportRecord, client_init, client_step,
                                read_reports, replay, server_init, server_register,
                                server_scale, server_step, write_reports)
+
+from oracles import chi_square
 
 
 def _client_with_order(k, d, eps, h, start_seed=0):
