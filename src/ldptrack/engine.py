@@ -8,9 +8,14 @@ time on threads; the heavy numpy steps release the GIL.  A shard draws
 only from its own Philox substreams, keyed by (seed, repetition, purpose,
 shard), and the calling thread merges the parts in shard order, so runs
 are bit-reproducible and identical for any pool size, one included.
-Peak memory is bounded by the 65536 rows in flight and does not grow
-with n.  A repetition of one shard runs on the calling thread and starts
-no pool.
+Live memory peaks at ~700 bytes per row in flight at d = 1024, k = 64
+(22 MiB for one shard, 34 MiB for two, tracemalloc) and does not grow
+with n: the shard's int32 change times, 4k bytes a row, and the window
+stage's results, 13 bytes per non-zero window sum (~15 sums a row) and
+twice that while their blocks are joined, whose temporaries are made
+``WINDOW_ROWS`` rows at a time.  The change times are freed before the
+noise draw.  A repetition of one shard runs on the calling thread and
+starts no pool.
 A client reads its noise vector in order, one coordinate per non-zero
 window sum, so the engine draws only that many leading coordinates per
 user, with exactly their law in a full draw.  The z fair coins of a
@@ -47,6 +52,8 @@ PURPOSE_BITS = 4
 # WORKERS * SHARD rows bound the working set of one repetition
 SHARD = 1 << 15
 WORKERS = 2
+# rows per block of the window stage, whose temporaries scale with the block
+WINDOW_ROWS = 1 << 11
 
 CHANGE_MODELS = ("uniform", "exactly_k", "bursty")
 
@@ -145,13 +152,14 @@ def _keep_one(counts: np.ndarray, times: np.ndarray, k: int,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample-one transform: keep the change in a uniform slot out of k, if any.
 
-    Returns the kept times and the level after each: the change in an even
-    slot (0-based) flipped 0 -> 1 and keeps +1, an odd slot's keeps -1.
+    Returns (rows, 1) arrays of the kept time, zero if none, and the level
+    after it: the change in an even slot (0-based) flipped 0 -> 1 and keeps
+    +1, an odd slot's keeps -1.
     """
     slots = rng.integers(0, k, size=len(counts))
     kept = np.flatnonzero(slots < counts)
-    new_times = np.zeros_like(times)
-    levels = np.zeros_like(times, dtype=np.int8)
+    new_times = np.zeros((len(counts), 1), dtype=times.dtype)
+    levels = np.zeros((len(counts), 1), dtype=np.int8)
     new_times[kept, 0] = times[kept, slots[kept]]
     levels[kept, 0] = np.where(slots[kept] % 2 == 0, 1, -1)
     return new_times, levels
@@ -162,32 +170,41 @@ def _nonzero_windows(times: np.ndarray, levels: np.ndarray, h_u: np.ndarray,
     """Every non-zero window sum of a shard, from its change events.
 
     ``times`` is zero-padded as ``sample_changes`` returns it; ``levels[u, c]``
-    is user u's derivative prefix sum just after change c.  A window's sum is
-    the level after its last change minus the level after the user's
-    previous window.  Returns (user, window index from 0, sum, rank among the
-    user's non-zero windows), ordered by user then window.
+    is user u's derivative prefix sum just after change c, as int8.  A
+    window's sum is the level after its last change minus the level after
+    the user's previous window.
+    Returns (user, window index from 0, sum, rank among the user's non-zero
+    windows) as int32, int32, int8 and int32 arrays, ordered by user then
+    window.  Rows go in blocks of ``WINDOW_ROWS``, so only the results grow
+    with the shard.
     """
-    n, width = times.shape
-    window = times - 1
-    np.right_shift(window, h_u[:, None], out=window)
-    # the last change of each window: the next one is in a later window or absent
-    last = times > 0
-    last[:, :-1] &= window[:, 1:] != window[:, :-1]
-    ends = np.flatnonzero(last)
-    user = ends // width
-    level = levels.ravel()[ends].astype(np.int8)
-    value = np.diff(level, prepend=0)
-    first = np.flatnonzero(user[1:] != user[:-1]) + 1  # a user's first window
-    value[first] = level[first]
-    nz = np.flatnonzero(value)
-    ends, user, value = ends[nz], user[nz], value[nz]
-    per_user = np.bincount(user, minlength=n)
-    if per_user.max(initial=0) > k:
-        u = per_user.argmax()
-        raise SparsityError(f"a stream produced {per_user[u]} > k={k} non-zero window "
-                            f"sums at order {h_u[u]}: population generation is broken")
-    rank = np.arange(user.size) - (np.cumsum(per_user) - per_user)[user]
-    return user, window.ravel()[ends], value, rank
+    width = times.shape[1]
+    parts = ([], [], [], [])  # the blocks of each result
+    for lo in range(0, len(times), WINDOW_ROWS):
+        block = times[lo:lo + WINDOW_ROWS]
+        window = block - 1
+        np.right_shift(window, h_u[lo:lo + WINDOW_ROWS, None], out=window)
+        # the last change of each window: the next one is in a later window or absent
+        last = block > 0
+        last[:, :-1] &= window[:, 1:] != window[:, :-1]
+        ends = np.flatnonzero(last)
+        row = ends // width
+        level = levels[lo:lo + WINDOW_ROWS].ravel()[ends]
+        value = np.diff(level, prepend=np.int8(0))
+        first = np.flatnonzero(row[1:] != row[:-1]) + 1  # a user's first window
+        value[first] = level[first]
+        nz = np.flatnonzero(value != 0)
+        ends, row, value = ends[nz], row[nz], value[nz]
+        per_user = np.bincount(row, minlength=len(block))
+        if per_user.max(initial=0) > k:
+            u = per_user.argmax()
+            raise SparsityError(f"a stream produced {per_user[u]} > k={k} non-zero window "
+                                f"sums at order {h_u[lo + u]}: population generation is broken")
+        rank = np.arange(row.size) - (np.cumsum(per_user) - per_user)[row]
+        for part, a in zip(parts, ((row + lo).astype(np.int32), window.ravel()[ends], value,
+                                   rank.astype(np.int32))):
+            part.append(a)
+    return tuple(np.concatenate(p) for p in parts)
 
 
 @dataclass
@@ -219,24 +236,28 @@ def _shard_part(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
         m, d, k, change_model, substream(seed, rep, PURPOSE_POPULATION, shard))
     truth = truth_from_changes(counts, times, d)
     # every change flips the Boolean value, which starts at 0
-    levels = np.broadcast_to(np.arange(times.shape[1]) % 2 == 0, times.shape)
+    levels = np.broadcast_to((np.arange(times.shape[1]) % 2 == 0).astype(np.int8),
+                             times.shape)
     if alg.keep_one:
         times, levels = _keep_one(counts, times, k,
                                   substream(seed, rep, PURPOSE_KEEP, shard))
     h_u = substream(seed, rep, PURPOSE_ORDERS, shard).integers(
         0, num_orders, size=m).astype(np.int32)
     user, window, value, rank = _nonzero_windows(times, levels, h_u, k)
+    del counts, times, levels  # freed before the noise draw
     rng_noise = substream(seed, rep, PURPOSE_NOISE, shard)
     noise = sample_composed_batch(alg.randomizer, m, rng_noise,
                                   np.bincount(user, minlength=m))[user, rank]
     bits = value * noise
-    h_nz = h_u[user]
-    flat = offset[h_nz] + window
     if not collect_reports:
-        sums = np.bincount(flat, weights=bits, minlength=offset[-1]).astype(np.int64)
-        zeros = (np.repeat(np.bincount(h_u, minlength=num_orders), np.diff(offset))
-                 - np.bincount(flat, minlength=offset[-1]))
+        # the flat window index of every non-zero sum; ±1 sums counted in integers
+        flat = offset.astype(np.int32)[h_u][user]
+        flat += window
+        hits = np.bincount(flat, minlength=offset[-1])
+        sums = 2 * np.bincount(flat[bits > 0], minlength=offset[-1]) - hits
+        zeros = np.repeat(np.bincount(h_u, minlength=num_orders), np.diff(offset)) - hits
         return truth, sums, zeros, []
+    h_nz = h_u[user]
     sums = np.empty(offset[-1], dtype=np.int64)
     blocks = []
     rng_bits = substream(seed, rep, PURPOSE_BITS, shard)

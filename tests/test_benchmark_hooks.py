@@ -33,3 +33,12 @@ def test_import_does_not_pull_in_scipy():
     subprocess.run([sys.executable, "-c",
                     "import ldptrack, sys; assert 'scipy' not in sys.modules"],
                    env=env, check=True)
+
+
+def test_import_does_not_pull_in_the_thread_pool():
+    # concurrent.futures loads logging: _map_shards imports it only for a pool
+    env = dict(os.environ, PYTHONPATH=str(BENCH.parent / "src"))
+    subprocess.run([sys.executable, "-c",
+                    "import ldptrack, sys; "
+                    "assert not {'concurrent.futures', 'logging'} & set(sys.modules)"],
+                   env=env, check=True)

@@ -5,6 +5,7 @@ import io
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,3 +206,81 @@ def test_report_dump_bytes_are_pinned(algo, rep):
     buf = io.StringIO()
     write_reports(out.reports, buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == _DUMP_SHA256[algo, rep]
+
+
+def test_window_stage_matches_a_dense_reference():
+    d, k, m = 64, 8, 3 * engine.WINDOW_ROWS // 2  # two blocks, the last one short
+    rng = np.random.default_rng(6)
+    counts, times = sample_changes(m, d, k, "uniform", rng)
+    h_u = rng.integers(0, d.bit_length(), size=m).astype(np.int32)
+    parity = np.broadcast_to((np.arange(k) % 2 == 0).astype(np.int8), times.shape)
+    got = engine._nonzero_windows(times, parity, h_u, k)
+    assert [a.dtype for a in got] == [np.int32, np.int32, np.int8, np.int32]
+    # per user: the dense derivative (+1 on odd-numbered changes, -1 on even)
+    # summed over each window of the user's order
+    x = np.zeros((m, d + 1), dtype=np.int64)
+    valid = np.arange(k) < counts[:, None]
+    x[np.nonzero(valid)[0], times[valid]] = np.where(np.nonzero(valid)[1] % 2 == 0, 1, -1)
+    want = []
+    for u in range(m):
+        window_sums = x[u, 1:].reshape(-1, 1 << h_u[u]).sum(axis=1)
+        nonzero = [(j, s) for j, s in enumerate(window_sums.tolist()) if s]
+        want += [(u, j, s, rank) for rank, (j, s) in enumerate(nonzero)]
+    assert list(zip(*(a.tolist() for a in got))) == want
+    # sample-one's one column reads as its zero-padded row
+    kept, levels = engine._keep_one(counts, times, k, rng)
+    assert kept.shape == levels.shape == (m, 1)
+    padded = [np.pad(a, ((0, 0), (0, k - 1))) for a in (kept, levels)]
+    for a, b in zip(engine._nonzero_windows(kept, levels, h_u, k),
+                    engine._nonzero_windows(*padded, h_u, k)):
+        assert np.array_equal(a, b)
+
+
+# SHA-256 of truth and estimates at n = 2 SHARD + 5 (three shards, the last
+# one short), as the engine with full-width window temporaries computed them.
+# d = k = 256 takes _uniform_subsets through its complement and pad branches.
+_OUTPUT_SHA256 = {
+    ("futurerand", 1024, 64, "uniform"):
+        "b4cd942b6e1844d26a21df8a32233c51747c8a311fd45ada87f7b89f00e52cc0",
+    ("futurerand", 256, 256, "uniform"):
+        "ed7634fd6d2073c0c63751d6007e58eaaee203fd5bd9c8c132163df77a4b97ec",
+    ("naive", 1024, 64, "uniform"):
+        "96afb7872061dcef5bca34bf06e8a36fe3f3b2cb2e75085b9249a5999c82b681",
+    ("naive", 256, 256, "uniform"):
+        "09385d0b5f798b96d0ffe58af0dfdd10bba080511134e710f729104ef7e2f04a",
+    ("sample_one", 1024, 64, "uniform"):
+        "59c3d1bc66c3eec30ca723b23947b196441465aa00f7ee7f92987415d626bcfc",
+    ("sample_one", 256, 256, "uniform"):
+        "a0af26afbf4a883fbf3d1acec3258d53a786b565e067890c51fe4b507cc9b881",
+    ("bns19", 1024, 64, "uniform"):
+        "1a0c1536d07bea14f0c4eaf06489edd46daff1b296664e7639d939ae735fcfb4",
+    ("bns19", 256, 256, "uniform"):
+        "2f5484b4e3ee08e40f7b7ebfe0c6e5a4b74b08c07d453e2fe9fa12b7c7e5240b",
+    ("sample_one", 1024, 64, "exactly_k"):
+        "46e634b3d65052e04e3f3d0e47f276ad35ac2fbead507de26623d02ec974ddbf",
+    ("futurerand", 1024, 64, "bursty"):
+        "3bddbce05c2fae71daae460d1d6f1dce5f9e70f058ee4b8612869d89715ef467",
+}
+
+
+def test_simulate_rep_outputs_are_pinned():
+    for (algo, d, k, model), sha in _OUTPUT_SHA256.items():
+        out = simulate_rep(algorithm_config(algo, k, 1.0, L=d), 2 * SHARD + 5, d,
+                           seed=11, rep=3, change_model=model)
+        digest = hashlib.sha256(out.truth.tobytes() + out.estimates.tobytes()).hexdigest()
+        assert digest == sha, (algo, d, k, model)
+
+
+# one shard runs on the calling thread, two on the pool; its 8 MiB of int32
+# change times are the largest array a d = 1024, k = 64 shard holds
+@pytest.mark.parametrize("n, limit_mib", [(SHARD, 28), (2 * SHARD, 50)])
+def test_simulate_rep_live_memory_is_bounded(n, limit_mib):
+    alg = algorithm_config("futurerand", 64, 1.0, L=1024)
+    alg.randomizer.distance_cdf  # the cached law is not part of a repetition
+    tracemalloc.start()
+    try:
+        simulate_rep(alg, n, 1024, seed=1, rep=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib << 20, f"{peak / 2**20:.1f} MiB"
