@@ -8,8 +8,8 @@ scales as eps / sqrt(k), three baseline randomizers, exact audits of the
 privacy guarantee, and a Monte-Carlo benchmarking harness.
 """
 
-from .baselines import ALGORITHMS, AlgorithmConfig, algorithm_config, make_client
-from .dyadic import DerivativeStream, TruthSeries, decompose, derive
+from .baselines import ALGORITHMS, AlgorithmConfig, algorithm_config
+from .dyadic import DerivativeStream, decompose, derive
 from .errors import CapacityError, ConfigError, ProtocolError, SparsityError
 from .harness import (ExperimentSpec, RunMetrics, ScalingStudy, gen_population,
                       run_experiment, run_reference, scaling_study,

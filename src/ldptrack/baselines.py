@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .errors import ConfigError
-from .protocol import ClientState, client_init
 from .randomizer import RandomizerConfig, _build_config, _flip_probability
 
 ALGORITHMS = ("futurerand", "naive", "sample_one", "bns19")
@@ -26,7 +24,6 @@ __all__ = [
     "algo_tag",
     "algorithm_config",
     "client_randomizer",
-    "make_client",
 ]
 
 
@@ -143,20 +140,3 @@ def client_randomizer(alg: AlgorithmConfig) -> RandomizerConfig:
         return cfg
     return _build_config(cfg.eps, 1, cfg.eps_tilde, mpf(0), mpf(1))
 
-
-def make_client(alg: AlgorithmConfig, d: int, rng: np.random.Generator,
-                change_times: tuple[int, ...] | None = None) -> ClientState:
-    """Client for the given algorithm; sample-one needs the change times upfront.
-
-    For the sample-one baseline the kept slot is drawn here, once, over
-    the user's full derivative; this is the one place a baseline consumes
-    offline knowledge.
-    """
-    state = client_init(alg.randomizer, d, rng)
-    if alg.keep_one:
-        if change_times is None:
-            raise ValueError("sample-one client needs the user's change times at init")
-        slot = int(rng.integers(0, alg.k))
-        state.keep_time = change_times[slot] if slot < len(change_times) else None
-        state.filter_deltas = True
-    return state

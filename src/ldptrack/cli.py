@@ -104,11 +104,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path, making its parent directories first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out is not None:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text + "\n")
+        _write(out, text + "\n")
     print(text)
 
 
@@ -163,18 +168,17 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     return EXIT_OK
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    base = ExperimentSpec(n=args.n, d=args.d, k=max(args.k_grid), eps=args.eps,
+    # k=1 is valid at any d; scaling_study checks the grid and each cell's k
+    base = ExperimentSpec(n=args.n, d=args.d, k=1, eps=args.eps,
                           beta=args.beta, reps=args.reps, seed=args.seed)
     study = scaling_study(base, args.k_grid, args.algos)
     if args.out is not None:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(study.to_json(), indent=2) + "\n")
+        _write(args.out, json.dumps(study.to_json(), indent=2) + "\n")
     print(study.table())
     return EXIT_OK
 

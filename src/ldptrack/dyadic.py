@@ -15,7 +15,6 @@ from typing import Sequence
 
 __all__ = [
     "DerivativeStream",
-    "TruthSeries",
     "derive",
     "decompose",
     "is_power_of_two",
@@ -63,19 +62,6 @@ class DerivativeStream:
 
     def change_times(self) -> tuple[int, ...]:
         return tuple(t for t, e in enumerate(self.entries, start=1) if e != 0)
-
-
-@dataclass(frozen=True)
-class TruthSeries:
-    """Exact per-step population counts f(1..d) for n users."""
-
-    counts: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        for t, c in enumerate(self.counts, start=1):
-            if not 0 <= c <= self.n:
-                raise ValueError(f"count f({t})={c} outside [0, n={self.n}]")
 
 
 def derive(boolean_series: Sequence[int], k: int | None = None) -> DerivativeStream:

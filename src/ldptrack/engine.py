@@ -8,10 +8,10 @@ time on threads; the heavy numpy steps release the GIL.  A shard draws
 only from its own Philox substreams, keyed by (seed, repetition, purpose,
 shard), and the calling thread merges the parts in shard order, so runs
 are bit-reproducible and identical for any pool size, one included.
-Live memory peaks at ~700 bytes per row in flight at d = 1024, k = 64
-(22 MiB for one shard, 34 MiB for two, tracemalloc) and does not grow
+Live memory peaks at ~600 bytes per row in flight at d = 1024, k = 64
+(19 MiB for one shard, 30-31 MiB for two, tracemalloc) and does not grow
 with n: the shard's int32 change times, 4k bytes a row, and the window
-stage's results, 13 bytes per non-zero window sum (~15 sums a row) and
+stage's results, 9 bytes per non-zero window sum (~15 sums a row) and
 twice that while their blocks are joined, whose temporaries are made
 ``WINDOW_ROWS`` rows at a time.  The change times are freed before the
 noise draw.  A repetition of one shard runs on the calling thread and
@@ -166,20 +166,19 @@ def _keep_one(counts: np.ndarray, times: np.ndarray, k: int,
 
 
 def _nonzero_windows(times: np.ndarray, levels: np.ndarray, h_u: np.ndarray,
-                     k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                     k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every non-zero window sum of a shard, from its change events.
 
     ``times`` is zero-padded as ``sample_changes`` returns it; ``levels[u, c]``
     is user u's derivative prefix sum just after change c, as int8.  A
     window's sum is the level after its last change minus the level after
     the user's previous window.
-    Returns (user, window index from 0, sum, rank among the user's non-zero
-    windows) as int32, int32, int8 and int32 arrays, ordered by user then
-    window.  Rows go in blocks of ``WINDOW_ROWS``, so only the results grow
-    with the shard.
+    Returns (user, window index from 0, sum) as int32, int32 and int8
+    arrays, ordered by user then window.  Rows go in blocks of
+    ``WINDOW_ROWS``, so only the results grow with the shard.
     """
     width = times.shape[1]
-    parts = ([], [], [], [])  # the blocks of each result
+    parts = ([], [], [])  # the blocks of each result
     for lo in range(0, len(times), WINDOW_ROWS):
         block = times[lo:lo + WINDOW_ROWS]
         window = block - 1
@@ -200,9 +199,7 @@ def _nonzero_windows(times: np.ndarray, levels: np.ndarray, h_u: np.ndarray,
             u = per_user.argmax()
             raise SparsityError(f"a stream produced {per_user[u]} > k={k} non-zero window "
                                 f"sums at order {h_u[lo + u]}: population generation is broken")
-        rank = np.arange(row.size) - (np.cumsum(per_user) - per_user)[row]
-        for part, a in zip(parts, ((row + lo).astype(np.int32), window.ravel()[ends], value,
-                                   rank.astype(np.int32))):
+        for part, a in zip(parts, ((row + lo).astype(np.int32), window.ravel()[ends], value)):
             part.append(a)
     return tuple(np.concatenate(p) for p in parts)
 
@@ -243,11 +240,13 @@ def _shard_part(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
                                   substream(seed, rep, PURPOSE_KEEP, shard))
     h_u = substream(seed, rep, PURPOSE_ORDERS, shard).integers(
         0, num_orders, size=m).astype(np.int32)
-    user, window, value, rank = _nonzero_windows(times, levels, h_u, k)
+    user, window, value = _nonzero_windows(times, levels, h_u, k)
     del counts, times, levels  # freed before the noise draw
-    rng_noise = substream(seed, rep, PURPOSE_NOISE, shard)
-    noise = sample_composed_batch(alg.randomizer, m, rng_noise,
-                                  np.bincount(user, minlength=m))[user, rank]
+    lengths = np.bincount(user, minlength=m)
+    noise = sample_composed_batch(alg.randomizer, m, substream(seed, rep, PURPOSE_NOISE, shard),
+                                  lengths)
+    # row u's first lengths[u] coordinates, rows in turn: one per non-zero sum, in order
+    noise = noise[np.arange(noise.shape[1]) < lengths[:, None]]
     bits = value * noise
     if not collect_reports:
         # the flat window index of every non-zero sum; ±1 sums counted in integers

@@ -1,8 +1,9 @@
 """Experiment configuration, population generation, runners and metrics.
 
 run_experiment drives the vectorized engine; run_reference executes the
-same protocol through the per-user online state machines and exists as
-the slow, obviously-correct path for cross-checks and report dumps.
+same protocol through the per-user online state machines, and replays
+their reports through the server, as the slow, obviously-correct path
+for cross-checks and report dumps.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .audit import AuditReport, audit_client_certificate
-from .baselines import AlgorithmConfig, algorithm_config, make_client
-from .dyadic import DerivativeStream, TruthSeries, is_power_of_two
+from .baselines import AlgorithmConfig, algorithm_config
+from .dyadic import DerivativeStream, is_power_of_two
 from .engine import (CHANGE_MODELS, simulate_rep, sample_changes, substream,
                      truth_from_changes)
-from .protocol import (ReportBatch, ReportRecord, client_step, server_init,
-                       server_register, server_scale, server_step, write_reports)
+from .protocol import (ReportBatch, client_init, client_step, replay, server_scale,
+                       write_reports)
 
 __all__ = [
     "ExperimentSpec",
@@ -102,14 +103,10 @@ def streams_from_changes(counts: np.ndarray, times: np.ndarray,
 
 
 def gen_population(n: int, d: int, k: int, change_model: str,
-                   rng: np.random.Generator) -> tuple[list[DerivativeStream], TruthSeries]:
-    """Random population of derivative streams plus its exact truth series."""
-    if k > d:
-        raise ValueError(f"k={k} exceeds horizon d={d}")
+                   rng: np.random.Generator) -> tuple[list[DerivativeStream], np.ndarray]:
+    """Random population of derivative streams plus its exact int64 truth series."""
     counts, times = sample_changes(n, d, k, change_model, rng)
-    truth = truth_from_changes(counts, times, d)
-    streams = streams_from_changes(counts, times, d, k)
-    return streams, TruthSeries(counts=tuple(int(x) for x in truth), n=n)
+    return streams_from_changes(counts, times, d, k), truth_from_changes(counts, times, d)
 
 
 # ---------------------------------------------------------------------------
@@ -217,25 +214,15 @@ def run_experiment(spec: ExperimentSpec,
 def run_reference(streams: list[DerivativeStream], alg: AlgorithmConfig,
                   d: int, seed: int = 0,
                   rep: int = 0) -> tuple[tuple[float, ...], ReportBatch]:
-    """Reference path: per-user online clients driving the incremental server."""
-    server = server_init(d, alg.k, alg.eps, alg.gap, alg.server_factor)
-    clients = []
-    for uid, stream in enumerate(streams):
-        rng = substream(seed, rep, 1000, uid)
-        state = make_client(alg, d, rng, change_times=stream.change_times())
-        server_register(server, uid, state.h)
-        clients.append(state)
-    records = []
-    estimates = []
-    for t in range(1, d + 1):
-        due = []
-        for uid, (state, stream) in enumerate(zip(clients, streams)):
-            bit = client_step(state, t, stream.entries[t - 1])
-            if bit is not None:
-                due.append((uid, bit))
-                records.append(ReportRecord(user=uid, h=state.h, t=t, bit=bit))
-        estimates.append(server_step(server, t, due))
-    return tuple(estimates), ReportBatch.of(records)
+    """Reference path: per-user online clients, their reports replayed by the server."""
+    clients = [client_init(alg, d, substream(seed, rep, 1000, uid), stream.change_times())
+               for uid, stream in enumerate(streams)]
+    rows = [(uid, state.h, t, bit)
+            for t in range(1, d + 1)
+            for uid, (state, stream) in enumerate(zip(clients, streams))
+            if (bit := client_step(state, t, stream.entries[t - 1])) is not None]
+    reports = ReportBatch(np.array(rows, dtype=np.int64).reshape(-1, 4))
+    return tuple(replay(reports, alg, d).tolist()), reports
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +262,23 @@ class ScalingStudy:
 
 def scaling_study(base: ExperimentSpec, k_grid: list[int],
                   algorithms: list[str]) -> ScalingStudy:
-    """RMS max-error per (k, algorithm) cell, with log-log slope fits over k."""
-    if not k_grid:
-        raise ValueError("k grid must be non-empty")
+    """RMS max-error per (k, algorithm) cell, with log-log slope fits over k.
+
+    Each cell runs ``base`` at its own k and algorithm (``base.k`` is not
+    used); every cell's spec is checked before the first cell runs.
+    """
+    if not algorithms:
+        raise ValueError("scaling study needs at least one algorithm")
+    if len(set(k_grid)) < 2:
+        raise ValueError(f"k grid {k_grid} needs two distinct k to fit a slope")
+    specs = {(algo, k): replace(base, k=k, algo=algo, out=None)
+             for algo in algorithms for k in k_grid}
     cells = []
     slopes = {}
     for algo in algorithms:
         rms_values = []
         for k in k_grid:
-            spec = replace(base, k=k, algo=algo, out=None)
-            metrics = run_experiment(spec)
+            metrics = run_experiment(specs[algo, k])
             rms = float(np.sqrt(np.mean(np.square(metrics.max_errs))))
             rms_values.append(rms)
             cells.append(ScalingCell(k=k, algorithm=algo, rms_max_error=rms,

@@ -15,14 +15,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 from mpmath import mpf
 
 from .dyadic import _check_horizon, decompose
 from .errors import ProtocolError, SparsityError
-from .randomizer import RandomizerConfig, sample_composed_batch
+from .randomizer import sample_composed_batch
 
 if TYPE_CHECKING:
     from .baselines import AlgorithmConfig
@@ -63,13 +63,25 @@ class ClientState:
     filter_deltas: bool = False
 
 
-def client_init(cfg: RandomizerConfig, d: int,
-                rng: np.random.Generator) -> ClientState:
-    """Sample the order uniformly and pre-draw the noise vector R~(1^k)."""
+def client_init(alg: AlgorithmConfig, d: int, rng: np.random.Generator,
+                change_times: Sequence[int] | None = None) -> ClientState:
+    """Sample the order uniformly and pre-draw the noise vector R~(1^k).
+
+    A sample-one client then draws its kept slot, once, over the user's
+    full derivative, so it needs the change times upfront: the one place a
+    baseline consumes offline knowledge.
+    """
     _check_horizon(d)
     h = int(rng.integers(0, d.bit_length()))
-    b_tilde = sample_composed_batch(cfg, 1, rng)[0]
-    return ClientState(h=h, d=d, k=cfg.k, b_tilde=b_tilde, rng=rng)
+    b_tilde = sample_composed_batch(alg.randomizer, 1, rng)[0]
+    state = ClientState(h=h, d=d, k=alg.k, b_tilde=b_tilde, rng=rng)
+    if alg.keep_one:
+        if change_times is None:
+            raise ValueError("sample-one client needs the user's change times at init")
+        slot = int(rng.integers(0, alg.k))
+        state.keep_time = change_times[slot] if slot < len(change_times) else None
+        state.filter_deltas = True
+    return state
 
 
 def client_step(state: ClientState, t: int, delta: int) -> int | None:

@@ -8,10 +8,10 @@ from mpmath import mp, mpf
 
 from ldptrack.audit import (audit_client, audit_client_certificate, audit_client_sweep,
                             audit_randomizer, enumerate_streams)
-from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer, make_client
+from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer
 from ldptrack.dyadic import DerivativeStream, derive
 from ldptrack.errors import CapacityError, ConfigError
-from ldptrack.protocol import ClientState, client_step
+from ldptrack.protocol import ClientState, client_init, client_step
 from ldptrack.randomizer import _build_config, exact_output_distribution
 
 from oracles import chi_square, client_law
@@ -348,7 +348,7 @@ def test_client_distribution_matches_empirical_sampler():
     counts = {key: 0 for key in law}
     runs = 30_000
     for seed in range(runs):
-        state = make_client(alg, 4, np.random.default_rng(seed))
+        state = client_init(alg, 4, np.random.default_rng(seed))
         omega = tuple(b for t in range(1, 5)
                       if (b := client_step(state, t, stream.entries[t - 1])) is not None)
         counts[(state.h, omega)] += 1
@@ -365,7 +365,7 @@ def test_client_distribution_matches_empirical_sampler_sample_one():
     counts = {key: 0 for key in law}
     runs = 30_000
     for seed in range(runs):
-        state = make_client(alg, 4, np.random.default_rng(seed),
+        state = client_init(alg, 4, np.random.default_rng(seed),
                             change_times=stream.change_times())
         omega = tuple(b for t in range(1, 5)
                       if (b := client_step(state, t, stream.entries[t - 1])) is not None)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer, make_client
+from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer
 from ldptrack.engine import simulate_rep
 from ldptrack.errors import ConfigError
-from ldptrack.protocol import client_step, server_scale
+from ldptrack.protocol import client_init, client_step, server_scale
 from ldptrack.randomizer import gap_lower_bound_expr
 
 
@@ -143,7 +143,7 @@ def test_make_client_sample_one_filters_stream():
     alg = algorithm_config("sample_one", 2, 1.0, L=4)
     kept_states = []
     for seed in range(200):
-        state = make_client(alg, 4, np.random.default_rng(seed),
+        state = client_init(alg, 4, np.random.default_rng(seed),
                             change_times=(2, 4))
         kept_states.append(state.keep_time)
         deltas = {2: 1, 4: -1}
@@ -158,7 +158,7 @@ def test_make_client_sample_one_filters_stream():
 def test_make_client_sample_one_requires_changes():
     alg = algorithm_config("sample_one", 2, 1.0, L=4)
     with pytest.raises(ValueError):
-        make_client(alg, 4, np.random.default_rng(0))
+        client_init(alg, 4, np.random.default_rng(0))
 
 
 def test_sample_one_unbiased_small():

@@ -244,6 +244,23 @@ def test_scaling_command(capsys, tmp_path):
     assert set(payload) == {"cells", "slopes"}
 
 
+@pytest.mark.parametrize("grid, algos, message", [
+    ("2,4", "", "at least one algorithm"),
+    ("2", "futurerand", "two distinct k"),
+    ("2,2", "futurerand", "two distinct k"),
+    ("", "futurerand", "two distinct k"),
+    ("2,16", "futurerand", "k=16 exceeds horizon d=8"),
+])
+def test_scaling_command_rejects_grids_it_cannot_fit(capsys, tmp_path, grid, algos, message):
+    out = tmp_path / "scaling.json"
+    code = main(["scaling", f"--k-grid={grid}", "--n", "50", "--d", "8", "--eps", "1.0",
+                 "--reps", "2", f"--algos={algos}", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_audit_randomizer_sample_one_audits_the_coordinate_it_uses(capsys):
     # a keep-one client only ever uses coordinate 0, at eps / 2
     code = main(["audit", "randomizer", "--algo", "sample-one", "--k", "3",

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldptrack.audit import _window_sums
-from ldptrack.dyadic import DerivativeStream, TruthSeries, decompose, derive
+from ldptrack.dyadic import DerivativeStream, decompose, derive
 
 from oracles import boolean_series as series_of
 
@@ -87,12 +87,6 @@ def test_stream_invariant_validation():
         DerivativeStream(entries=(1, -1, 1, -1), k=3)  # too many changes
     with pytest.raises(ValueError):
         DerivativeStream(entries=(0, 2), k=2)
-
-
-def test_truth_series_bounds():
-    TruthSeries(counts=(0, 1, 2), n=2)
-    with pytest.raises(ValueError):
-        TruthSeries(counts=(3,), n=2)
 
 
 @st.composite

@@ -215,7 +215,7 @@ def test_window_stage_matches_a_dense_reference():
     h_u = rng.integers(0, d.bit_length(), size=m).astype(np.int32)
     parity = np.broadcast_to((np.arange(k) % 2 == 0).astype(np.int8), times.shape)
     got = engine._nonzero_windows(times, parity, h_u, k)
-    assert [a.dtype for a in got] == [np.int32, np.int32, np.int8, np.int32]
+    assert [a.dtype for a in got] == [np.int32, np.int32, np.int8]
     # per user: the dense derivative (+1 on odd-numbered changes, -1 on even)
     # summed over each window of the user's order
     x = np.zeros((m, d + 1), dtype=np.int64)
@@ -224,8 +224,7 @@ def test_window_stage_matches_a_dense_reference():
     want = []
     for u in range(m):
         window_sums = x[u, 1:].reshape(-1, 1 << h_u[u]).sum(axis=1)
-        nonzero = [(j, s) for j, s in enumerate(window_sums.tolist()) if s]
-        want += [(u, j, s, rank) for rank, (j, s) in enumerate(nonzero)]
+        want += [(u, j, s) for j, s in enumerate(window_sums.tolist()) if s]
     assert list(zip(*(a.tolist() for a in got))) == want
     # sample-one's one column reads as its zero-padded row
     kept, levels = engine._keep_one(counts, times, k, rng)

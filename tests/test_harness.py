@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from ldptrack.baselines import algorithm_config
+from ldptrack import harness
+from ldptrack.baselines import ALGORITHMS, algorithm_config
 from ldptrack.dyadic import decompose
 from ldptrack.engine import (sample_changes, simulate_rep, substream,
                              truth_from_changes)
@@ -39,14 +41,14 @@ def test_spec_validation():
 def test_gen_population_k0():
     streams, truth = gen_population(20, 8, 0, "uniform", np.random.default_rng(0))
     assert all(s.entries == (0,) * 8 for s in streams)
-    assert truth.counts == (0,) * 8
+    assert truth.tolist() == [0] * 8
 
 
 def test_gen_population_exactly_k_full_is_alternating():
     streams, truth = gen_population(5, 8, 8, "exactly_k", np.random.default_rng(1))
     for s in streams:
         assert s.entries == (1, -1, 1, -1, 1, -1, 1, -1)
-    assert truth.counts == (5, 0, 5, 0, 5, 0, 5, 0)
+    assert truth.tolist() == [5, 0, 5, 0, 5, 0, 5, 0]
 
 
 def test_gen_population_rejects_k_above_d():
@@ -59,7 +61,7 @@ def test_gen_population_truth_consistency():
     recomputed = np.zeros(16, dtype=int)
     for s in streams:
         recomputed += np.asarray(boolean_series(s))
-    assert tuple(recomputed) == truth.counts
+    assert np.array_equal(recomputed, truth)
 
 
 @given(st.integers(1, 40), st.integers(0, 4), st.integers(0, 3),
@@ -72,7 +74,7 @@ def test_gen_population_streams_valid(n, log_d, k, model, seed):
     # DerivativeStream validates its own invariants on construction
     assert len(streams) == n
     assert all(len(s.entries) == d and s.k == k for s in streams)
-    assert all(0 <= c <= n for c in truth.counts)
+    assert truth.dtype == np.int64 and ((0 <= truth) & (truth <= n)).all()
 
 
 def test_sample_changes_uniform_count_distribution():
@@ -213,7 +215,7 @@ def test_engine_matches_reference_distribution():
         streams, truth = gen_population(60, 8, 2, "uniform",
                                         substream(3000, rep, 0))
         est, _ = run_reference(streams, alg, 8, seed=3000, rep=rep)
-        ref.append(est[5] - truth.counts[5])
+        ref.append(est[5] - truth[5])
     eng, ref = np.array(eng), np.array(ref)
     se = np.sqrt(eng.var(ddof=1) / reps + ref.var(ddof=1) / reps)
     assert abs(eng.mean() - ref.mean()) < 4 * se
@@ -245,6 +247,26 @@ def test_reference_runner_deterministic_and_round_trip(tmp_path):
         assert read_reports(fp) == recs1
 
 
+# SHA-256 of the estimates and report rows of run_reference, as computed by
+# per-user clients driving server_init/server_register/server_step directly
+_REFERENCE_SHA256 = {
+    "futurerand": "79edb85e65b615bf42ac801e9b9e6301ecd8b3e33f0bd9a05dcf388592d57803",
+    "naive": "2514513dedf8a4a6fb964f7732cdaa8190d3abb4508dbc379314998be08efa62",
+    "sample_one": "46f9241317630f6079b842cd54c32bdfcdf261af1e318c1e7235c5428fc9d57d",
+    "bns19": "efde2e6a8cff332f0a0047430ff869b8bcd04f8d7800cf1854c76f59e8cf7013",
+}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_run_reference_outputs_are_pinned(algo):
+    alg = algorithm_config(algo, 3, 1.0, L=8)
+    streams, _ = gen_population(40, 8, 3, "uniform", np.random.default_rng(12))
+    est, reports = run_reference(streams, alg, 8, seed=7, rep=1)
+    assert len(reports) == 165
+    digest = hashlib.sha256(np.array(est).tobytes() + reports.rows.tobytes()).hexdigest()
+    assert digest == _REFERENCE_SHA256[algo]
+
+
 def test_scaling_study_smoke():
     base = ExperimentSpec(n=400, d=16, k=4, eps=1.0, beta=0.1, reps=3, seed=9)
     study = scaling_study(base, [2, 4], ["futurerand", "naive"])
@@ -260,3 +282,21 @@ def test_scaling_study_empty_grid():
     base = ExperimentSpec(n=10, d=8, k=2, eps=1.0, beta=0.1)
     with pytest.raises(ValueError):
         scaling_study(base, [], ["futurerand"])
+
+
+@pytest.mark.parametrize("grid, algos, message", [
+    ([2, 4], [], "at least one algorithm"),
+    ([2], ["futurerand"], "two distinct k"),
+    ([4, 4], ["futurerand"], "two distinct k"),
+])
+def test_scaling_study_rejects_grids_it_cannot_fit(grid, algos, message):
+    base = ExperimentSpec(n=10, d=8, k=2, eps=1.0, beta=0.1)
+    with pytest.raises(ValueError, match=message):
+        scaling_study(base, grid, algos)
+
+
+def test_scaling_study_checks_every_cell_before_running_one(monkeypatch):
+    monkeypatch.setattr(harness, "run_experiment", lambda spec: pytest.fail("a cell ran"))
+    base = ExperimentSpec(n=10, d=8, k=2, eps=1.0, beta=0.1)
+    with pytest.raises(ValueError, match="k=16 exceeds horizon d=8"):
+        scaling_study(base, [2, 16], ["futurerand"])

@@ -22,9 +22,9 @@ from oracles import chi_square
 
 
 def _client_with_order(k, d, eps, h, start_seed=0):
-    cfg = algorithm_config("futurerand", k, eps).randomizer
+    alg = algorithm_config("futurerand", k, eps)
     for seed in range(start_seed, start_seed + 5000):
-        state = client_init(cfg, d, np.random.default_rng(seed))
+        state = client_init(alg, d, np.random.default_rng(seed))
         if state.h == h:
             return state
     raise AssertionError(f"no seed produced order {h}")
@@ -35,30 +35,30 @@ def _client_with_order(k, d, eps, h, start_seed=0):
 
 
 def test_client_init_horizon_one_forces_order_zero():
-    cfg = algorithm_config("futurerand", 2, 1.0).randomizer
+    alg = algorithm_config("futurerand", 2, 1.0)
     for seed in range(20):
-        state = client_init(cfg, 1, np.random.default_rng(seed))
+        state = client_init(alg, 1, np.random.default_rng(seed))
         assert state.h == 0
 
 
 def test_client_init_order_uniform():
-    cfg = algorithm_config("futurerand", 2, 1.0).randomizer
+    alg = algorithm_config("futurerand", 2, 1.0)
     counts = np.zeros(4, dtype=np.int64)
     for seed in range(20_000):
-        counts[client_init(cfg, 8, np.random.default_rng(seed)).h] += 1
+        counts[client_init(alg, 8, np.random.default_rng(seed)).h] += 1
     res = chi_square(counts, [1, 1, 1, 1], significance=0.001)
     assert res.passed, res
 
 
 def test_client_init_btilde_marginal_matches_gap():
-    cfg = algorithm_config("futurerand", 2, 1.0).randomizer
+    alg = algorithm_config("futurerand", 2, 1.0)
     total = 0
     n = 20_000
     for seed in range(n):
-        state = client_init(cfg, 8, np.random.default_rng(seed))
+        state = client_init(alg, 8, np.random.default_rng(seed))
         total += int(state.b_tilde[0])
     est = total / n
-    g = float(cfg.gap)
+    g = float(alg.gap)
     sigma = np.sqrt((1 - g * g) / n)
     assert abs(est - g) < 4 * sigma
 
