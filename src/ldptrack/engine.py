@@ -3,19 +3,18 @@
 Gives estimates with the same law as one client per user driven through
 the online state machine, in O(n k) work: a user with at most k changes
 has at most k non-zero window sums, and the engine works from change
-events.  Users run in shards of ``SHARD`` (32768), ``WORKERS`` (two) at a
+events.  Users run in shards of ``SHARD`` (8192), ``WORKERS`` (two) at a
 time on threads; the heavy numpy steps release the GIL.  A shard draws
 only from its own Philox substreams, keyed by (seed, repetition, purpose,
 shard), and the calling thread merges the parts in shard order, so runs
 are bit-reproducible and identical for any pool size, one included.
-Live memory peaks at ~600 bytes per row in flight at d = 1024, k = 64
-(19 MiB for one shard, 30-31 MiB for two, tracemalloc) and does not grow
-with n: the shard's int32 change times, 4k bytes a row, and the window
-stage's results, 9 bytes per non-zero window sum (~15 sums a row) and
-twice that while their blocks are joined, whose temporaries are made
-``WINDOW_ROWS`` rows at a time.  The change times are freed before the
-noise draw.  A repetition of one shard runs on the calling thread and
-starts no pool.
+Live memory peaks at 6 MiB for one shard and 10-12 MiB for more at
+d = 1024, k = 64 (tracemalloc), whatever n: the shard's int32
+change times, 4k bytes a row (2 MiB), and the window stage's results,
+9 bytes per non-zero window sum (~15 sums a row) and twice that while
+their blocks are joined, whose temporaries are made ``WINDOW_ROWS`` rows
+at a time.  The change times are freed before the noise draw.  A
+repetition of one shard runs on the calling thread and starts no pool.
 A client reads its noise vector in order, one coordinate per non-zero
 window sum, so the engine draws only that many leading coordinates per
 user, with exactly their law in a full draw.  The z fair coins of a
@@ -50,7 +49,7 @@ PURPOSE_BITS = 4
 
 # users per shard, and shards in flight at once, each on its own thread:
 # WORKERS * SHARD rows bound the working set of one repetition
-SHARD = 1 << 15
+SHARD = 1 << 13
 WORKERS = 2
 # rows per block of the window stage, whose temporaries scale with the block
 WINDOW_ROWS = 1 << 11
@@ -252,8 +251,9 @@ def _shard_part(alg: AlgorithmConfig, n: int, d: int, seed: int, rep: int,
         # the flat window index of every non-zero sum; ±1 sums counted in integers
         flat = offset.astype(np.int32)[h_u][user]
         flat += window
-        hits = np.bincount(flat, minlength=offset[-1])
-        sums = 2 * np.bincount(flat[bits > 0], minlength=offset[-1]) - hits
+        both = np.bincount(2 * flat + (bits > 0), minlength=2 * offset[-1]).reshape(-1, 2)
+        hits = both.sum(axis=1)
+        sums = both[:, 1] - both[:, 0]
         zeros = np.repeat(np.bincount(h_u, minlength=num_orders), np.diff(offset)) - hits
         return truth, sums, zeros, []
     h_nz = h_u[user]

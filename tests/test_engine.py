@@ -72,7 +72,8 @@ def test_sampler_edge_cases_and_layout():
         assert not times[~valid].any(), model
 
 
-@pytest.mark.parametrize("n", [5, SHARD + 3, 2 * SHARD])
+# one shard; more shards than threads, the last one short; all shards full
+@pytest.mark.parametrize("n", [5, 4 * SHARD + 3, 8 * SHARD])
 def test_shards_cover_every_user_once(n, monkeypatch):
     sizes, threads = [], set()
     sample = engine.sample_changes
@@ -126,6 +127,8 @@ def test_results_identical_for_any_pool_size(algo, monkeypatch):
         sys.setswitchinterval(interval)
     serial = runs.pop(1)
     assert len(serial[1].reports) > n
+    # the server gives the engine's estimates from reports of several shards
+    assert np.array_equal(replay(serial[1].reports, alg, d), serial[1].estimates)
     for pooled in runs.values():
         for got, want in zip(pooled, serial):
             assert np.array_equal(got.truth, want.truth)
@@ -235,44 +238,74 @@ def test_window_stage_matches_a_dense_reference():
         assert np.array_equal(a, b)
 
 
-# SHA-256 of truth and estimates at n = 2 SHARD + 5 (three shards, the last
-# one short), as the engine with full-width window temporaries computed them.
+# SHA-256 of truth and estimates at n = 2 * 32768 + 5, by shard size: with
+# 32768-user shards (three, the last one short) as the engine with
+# full-width window temporaries computed them, and with 8192-user shards
+# (nine, the last of 5 users).  Only the shard layout moves the outputs.
 # d = k = 256 takes _uniform_subsets through its complement and pad branches.
 _OUTPUT_SHA256 = {
-    ("futurerand", 1024, 64, "uniform"):
-        "b4cd942b6e1844d26a21df8a32233c51747c8a311fd45ada87f7b89f00e52cc0",
-    ("futurerand", 256, 256, "uniform"):
-        "ed7634fd6d2073c0c63751d6007e58eaaee203fd5bd9c8c132163df77a4b97ec",
-    ("naive", 1024, 64, "uniform"):
-        "96afb7872061dcef5bca34bf06e8a36fe3f3b2cb2e75085b9249a5999c82b681",
-    ("naive", 256, 256, "uniform"):
-        "09385d0b5f798b96d0ffe58af0dfdd10bba080511134e710f729104ef7e2f04a",
-    ("sample_one", 1024, 64, "uniform"):
-        "59c3d1bc66c3eec30ca723b23947b196441465aa00f7ee7f92987415d626bcfc",
-    ("sample_one", 256, 256, "uniform"):
-        "a0af26afbf4a883fbf3d1acec3258d53a786b565e067890c51fe4b507cc9b881",
-    ("bns19", 1024, 64, "uniform"):
-        "1a0c1536d07bea14f0c4eaf06489edd46daff1b296664e7639d939ae735fcfb4",
-    ("bns19", 256, 256, "uniform"):
-        "2f5484b4e3ee08e40f7b7ebfe0c6e5a4b74b08c07d453e2fe9fa12b7c7e5240b",
-    ("sample_one", 1024, 64, "exactly_k"):
-        "46e634b3d65052e04e3f3d0e47f276ad35ac2fbead507de26623d02ec974ddbf",
-    ("futurerand", 1024, 64, "bursty"):
-        "3bddbce05c2fae71daae460d1d6f1dce5f9e70f058ee4b8612869d89715ef467",
+    1 << 15: {
+        ("futurerand", 1024, 64, "uniform"):
+            "b4cd942b6e1844d26a21df8a32233c51747c8a311fd45ada87f7b89f00e52cc0",
+        ("futurerand", 256, 256, "uniform"):
+            "ed7634fd6d2073c0c63751d6007e58eaaee203fd5bd9c8c132163df77a4b97ec",
+        ("naive", 1024, 64, "uniform"):
+            "96afb7872061dcef5bca34bf06e8a36fe3f3b2cb2e75085b9249a5999c82b681",
+        ("naive", 256, 256, "uniform"):
+            "09385d0b5f798b96d0ffe58af0dfdd10bba080511134e710f729104ef7e2f04a",
+        ("sample_one", 1024, 64, "uniform"):
+            "59c3d1bc66c3eec30ca723b23947b196441465aa00f7ee7f92987415d626bcfc",
+        ("sample_one", 256, 256, "uniform"):
+            "a0af26afbf4a883fbf3d1acec3258d53a786b565e067890c51fe4b507cc9b881",
+        ("bns19", 1024, 64, "uniform"):
+            "1a0c1536d07bea14f0c4eaf06489edd46daff1b296664e7639d939ae735fcfb4",
+        ("bns19", 256, 256, "uniform"):
+            "2f5484b4e3ee08e40f7b7ebfe0c6e5a4b74b08c07d453e2fe9fa12b7c7e5240b",
+        ("sample_one", 1024, 64, "exactly_k"):
+            "46e634b3d65052e04e3f3d0e47f276ad35ac2fbead507de26623d02ec974ddbf",
+        ("futurerand", 1024, 64, "bursty"):
+            "3bddbce05c2fae71daae460d1d6f1dce5f9e70f058ee4b8612869d89715ef467",
+    },
+    1 << 13: {
+        ("futurerand", 1024, 64, "uniform"):
+            "cf71db8a0b70990d371b3ae55877e758ad46fdea8ea7cdb35d5f7d92aa383ad0",
+        ("futurerand", 256, 256, "uniform"):
+            "46d25e69800039d877bab2216d6089cbd51f083811b958769be995dfc60c8004",
+        ("naive", 1024, 64, "uniform"):
+            "7081b4b1c8932083de6c4b28488273beb09c5d586995a156ca12e297bcc91caf",
+        ("naive", 256, 256, "uniform"):
+            "1686296eeda9c0a4f65447705319a3845eb0b6beb99aeab237a238ca38cd5712",
+        ("sample_one", 1024, 64, "uniform"):
+            "dbb07481372acc3b234b0811f6d01f9828dff436eb545adc8e8b71dcb4e56894",
+        ("sample_one", 256, 256, "uniform"):
+            "8e38f8e4f68f7d8a7f7f6a135a069e9b4f87626727300f5837eca83d8520aead",
+        ("bns19", 1024, 64, "uniform"):
+            "7176a2ab3c21e2f2e587b3f084b088ba9daeef0c389a920198896031fe783f5c",
+        ("bns19", 256, 256, "uniform"):
+            "46585e36a05d7d245c6fbf26875d37510d82afb852a39ad942870dfcfedba452",
+        ("sample_one", 1024, 64, "exactly_k"):
+            "282851607dbb340a5a263d60c67d3e1a7e0a82088752ab9f486f7085af5ed89d",
+        ("futurerand", 1024, 64, "bursty"):
+            "eca2a143051200a04ee34d9e24c7dd976032ab8a67fda3d29d5d679aa74d7466",
+    },
 }
 
 
-def test_simulate_rep_outputs_are_pinned():
-    for (algo, d, k, model), sha in _OUTPUT_SHA256.items():
-        out = simulate_rep(algorithm_config(algo, k, 1.0, L=d), 2 * SHARD + 5, d,
-                           seed=11, rep=3, change_model=model)
-        digest = hashlib.sha256(out.truth.tobytes() + out.estimates.tobytes()).hexdigest()
-        assert digest == sha, (algo, d, k, model)
+def test_simulate_rep_outputs_are_pinned(monkeypatch):
+    assert SHARD in _OUTPUT_SHA256
+    for shard, pins in _OUTPUT_SHA256.items():
+        monkeypatch.setattr(engine, "SHARD", shard)
+        for (algo, d, k, model), sha in pins.items():
+            out = simulate_rep(algorithm_config(algo, k, 1.0, L=d), 2 * (1 << 15) + 5, d,
+                               seed=11, rep=3, change_model=model)
+            digest = hashlib.sha256(out.truth.tobytes() + out.estimates.tobytes()).hexdigest()
+            assert digest == sha, (shard, algo, d, k, model)
 
 
-# one shard runs on the calling thread, two on the pool; its 8 MiB of int32
-# change times are the largest array a d = 1024, k = 64 shard holds
-@pytest.mark.parametrize("n, limit_mib", [(SHARD, 28), (2 * SHARD, 50)])
+# one shard runs on the calling thread, two or more on the pool, two at a
+# time; a d = 1024, k = 64 shard's largest array is its 2 MiB of int32
+# change times, and n = 1e5 is the paper's population (13 shards)
+@pytest.mark.parametrize("n, limit_mib", [(SHARD, 9), (2 * SHARD, 15), (100_000, 15)])
 def test_simulate_rep_live_memory_is_bounded(n, limit_mib):
     alg = algorithm_config("futurerand", 64, 1.0, L=1024)
     alg.randomizer.distance_cdf  # the cached law is not part of a repetition
