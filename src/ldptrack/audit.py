@@ -23,12 +23,12 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .baselines import AlgorithmConfig, algorithm_config, client_randomizer
-from .dyadic import DerivativeStream, _check_horizon, derive
+from .dyadic import DerivativeStream, _check_horizon
 from .errors import CapacityError
 # exact_output_distribution stays an attribute here: perfbench's audit workload wraps it
 from .randomizer import RandomizerConfig, exact_output_distribution  # noqa: F401
 
-CLIENT_AUDIT_D = 16   # enumerate_streams walks all 2^d Boolean series
+CLIENT_AUDIT_D = 16   # enumerate_streams lists sum_{m <= k} C(d, m) series
 CLIENT_AUDIT_K = 4    # sample-one enumerates up to 2^(2k) output patterns per pair
 
 RATIO_SLACK = mpf("1e-9")  # absorbs extended-precision rounding on the e^eps test
@@ -287,16 +287,22 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
     return AuditReport.from_ratio(eps, top, worst)
 
 
-def enumerate_streams(d: int, k: int) -> list[DerivativeStream]:
-    """All derivative streams of Boolean series on [1, d] with at most k changes."""
+def enumerate_streams(d: int, k: int) -> tuple[DerivativeStream, ...]:
+    """Streams of every Boolean series on [1, d] with at most k changes, in product order,
+    the numeric order of a series read as d bits: the XOR of its changes' suffix masks."""
     if d > CLIENT_AUDIT_D:
         raise CapacityError(f"d={d} above stream enumeration bound {CLIENT_AUDIT_D}")
-    out = []
-    for bits in itertools.product((0, 1), repeat=d):
-        changes = sum(b != prev for b, prev in zip(bits, (0,) + bits[:-1]))
-        if changes <= k:
-            out.append(derive(bits, k=k))
-    return out
+    keys = sorted(functools.reduce(int.__xor__, ((1 << d - c) - 1 for c in changes), 0)
+                  for m in range(k + 1) for changes in itertools.combinations(range(d), m))
+    series = [tuple(map(int, f"{key:0{d}b}")) for key in keys]
+    return tuple(DerivativeStream(tuple(map(int.__sub__, s, (0,) + s[:-1])), k) for s in series)
+
+
+def _draw_pairs(n: int, pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """``pairs`` rows (a, b), uniform over ordered pairs of distinct indices below n."""
+    a, b = rng.integers(0, n, pairs), rng.integers(0, n - 1, pairs)
+    b += b >= a
+    return np.column_stack((a, b))
 
 
 def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand",
@@ -304,21 +310,16 @@ def audit_client_sweep(d: int, k: int, eps: float, algorithm: str = "futurerand"
                        rng: np.random.Generator | None = None) -> AuditReport:
     """Worst client-level ratio over stream pairs: exhaustive, or a random sample.
 
-    With ``pairs`` set, that many unordered pairs are drawn uniformly from
-    the valid streams; otherwise every pair is checked.
+    With ``pairs`` set, that many ordered pairs of distinct streams are
+    drawn uniformly, in one draw (_draw_pairs); otherwise every pair is checked.
     """
     if pairs is not None and (isinstance(pairs, bool) or not isinstance(pairs, (int, np.integer))
                               or pairs < 1):
         raise ValueError(f"pairs must be >= 1 and an int, got {pairs!r}")
     alg = _client_algorithm(d, k, eps, algorithm)
     streams = enumerate_streams(d, k)
-    if pairs is None:
-        index_pairs = np.column_stack(np.triu_indices(len(streams), 1))
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        index_pairs = [tuple(rng.choice(len(streams), size=2, replace=False))
-                       for _ in range(pairs)]
+    index_pairs = (np.column_stack(np.triu_indices(len(streams), 1)) if pairs is None
+                   else _draw_pairs(len(streams), pairs, rng or np.random.default_rng(0)))
     return _worst_report(eps, alg, d, streams, index_pairs)
 
 

@@ -9,6 +9,8 @@ scale.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -70,6 +72,9 @@ def algorithm_config(tag: str, k: int, eps: float,
                      L: int | None = None) -> AlgorithmConfig:
     """Config of algorithm ``tag``; with ``L`` set, k must not exceed it.
 
+    A real eps is taken as a float.  One immutable config per (algorithm, k, float(eps),
+    mp.prec) is built per process and shared by all callers; a ConfigError caches nothing.
+
     Each algorithm is a per-bit budget eps_tilde and a real annulus on the
     Hamming distance, with p = 1 / (e^eps_tilde + 1):
 
@@ -91,13 +96,19 @@ def algorithm_config(tag: str, k: int, eps: float,
       eps = 6 eps_tilde sqrt(k ln(1/lambda)) holds identically.  Requires
       eps <= 1 and lambda < (eps_tilde sqrt(k) / (2(k+1)))^(2/3).
     """
-    tag = algo_tag(tag)
+    if L is not None and k > L:
+        raise ConfigError(f"need k <= L, got k={k}, L={L}")
+    if not isinstance(eps, numbers.Real):
+        raise ConfigError(f"eps={eps!r} must be a real number")
+    return _algorithm_config(algo_tag(tag), k, float(eps), mp.prec)
+
+
+@functools.cache
+def _algorithm_config(tag: str, k: int, eps: float, prec: int) -> AlgorithmConfig:
     if tag not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {tag!r}; choose from {ALGORITHMS}")
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if L is not None and k > L:
-        raise ConfigError(f"need k <= L, got k={k}, L={L}")
     if not eps > 0:
         raise ConfigError(f"eps={eps} must be > 0")
     if eps > 1 and tag in ("futurerand", "bns19"):

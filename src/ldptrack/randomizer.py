@@ -166,22 +166,25 @@ class RandomizerConfig:
         and rounded once per entry; the last entry is exactly 1.
         """
         cum = list(accumulate(c * w for c, w in zip(_binomials(self.k), self.distance_law)))
-        return np.array([float(c / cum[-1]) for c in cum])
+        cdf = np.array([float(c / cum[-1]) for c in cum])
+        cdf.flags.writeable = False  # shared by every caller of the config
+        return cdf
 
     @cached_property
-    def prefix_masses(self) -> list[list[mpf]]:
+    def prefix_masses(self) -> tuple[tuple[mpf, ...], ...]:
         """masses[m][j]: probability that the first m coordinates of the noise
         vector (drawn on 1^k) equal one given pattern holding j minus-ones.
 
         A full vector at distance j has mass law[j]; a length-m prefix sums its
         two extensions by coordinate m + 1: masses[m][j] = masses[m + 1][j] +
-        masses[m + 1][j + 1], which is sum_r C(k - m, r) law[j + r], in O(k^2).
+        masses[m + 1][j + 1] = sum_r C(k - m, r) law[j + r].  The O(k^2) table (118 MiB
+        at k = 1024) stays on the shared config once read; only audits at k <= 4 read it.
         """
-        masses = [list(self.distance_law)]
+        masses = [self.distance_law]
         for _ in range(self.k):
             longer = masses[-1]
-            masses.append([a + b for a, b in zip(longer, longer[1:])])
-        return masses[::-1]
+            masses.append(tuple(a + b for a, b in zip(longer, longer[1:])))
+        return tuple(masses[::-1])
 
 
 def _build_config(eps: float, k: int, eps_tilde: mpf,

@@ -1,5 +1,6 @@
 """Test-only oracles and statistics: the full client output law in closed
-form, a chi-square tester, and the Boolean series of a derivative stream."""
+form, the stream walk over all 2^d Boolean series, a chi-square tester, and
+the Boolean series of a derivative stream."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from ldptrack.audit import _window_sums
+from ldptrack.dyadic import derive
 
 
 def client_law(alg, d, stream):
@@ -48,6 +50,17 @@ def client_law(alg, d, stream):
     if abs(mass - 1) > mpf("1e-12"):
         raise ArithmeticError(f"client distribution mass {mass} deviates from 1")
     return law
+
+
+def streams_by_product(d, k):
+    """Derivative streams of every Boolean series on [1, d] with at most k
+    changes: all 2^d series in itertools.product order, filtered."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=d):
+        changes = sum(b != prev for b, prev in zip(bits, (0,) + bits[:-1]))
+        if changes <= k:
+            out.append(derive(bits, k=k))
+    return out
 
 
 def boolean_series(stream) -> tuple[int, ...]:

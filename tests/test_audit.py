@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from ldptrack.audit import (audit_client, audit_client_certificate, audit_client_sweep,
-                            audit_randomizer, enumerate_streams)
+from ldptrack.audit import (_draw_pairs, audit_client, audit_client_certificate,
+                            audit_client_sweep, audit_randomizer, enumerate_streams)
 from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer
 from ldptrack.dyadic import DerivativeStream, derive
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.protocol import ClientState, client_init, client_step
 from ldptrack.randomizer import _build_config, exact_output_distribution
 
-from oracles import chi_square, client_law
+from oracles import chi_square, client_law, streams_by_product
 
 
 def test_audit_plain_rr_ratio_is_exactly_e_eps_tilde():
@@ -137,8 +137,7 @@ def test_class_pair_ratio_equals_per_key_reference(algo):
             index_pairs = list(itertools.combinations(range(n), 2))
             report = audit_client_sweep(d, k, eps, algorithm=algo)
         else:
-            rng = np.random.default_rng(11)
-            index_pairs = [tuple(rng.choice(n, size=2, replace=False)) for _ in range(pairs)]
+            index_pairs = _draw_pairs(n, pairs, np.random.default_rng(11))
             report = audit_client_sweep(d, k, eps, algorithm=algo, pairs=pairs,
                                         rng=np.random.default_rng(11))
         (ratio, worst), laws = _reference_sweep(d, k, eps, algo, index_pairs)
@@ -226,6 +225,28 @@ def test_audit_client_capacity():
 def test_enumerate_streams_counts():
     # Boolean series on [1,4] with at most 2 changes: C(4,0)+C(4,1)+C(4,2)
     assert len(enumerate_streams(4, 2)) == 1 + 4 + 6
+
+
+def test_enumerate_streams_equals_the_walk_over_all_series():
+    # built from change positions, the streams and their order are the
+    # filtered itertools.product walk's
+    cases = [(d, k) for d in (1, 2, 4, 8) for k in range(d + 1)] + [(16, 3)]
+    for d, k in cases:
+        streams = enumerate_streams(d, k)
+        assert isinstance(streams, tuple)
+        assert list(streams) == streams_by_product(d, k), (d, k)
+
+
+def test_draw_pairs_is_uniform_over_ordered_distinct_pairs():
+    n = 6
+    pairs = _draw_pairs(n, 30_000, np.random.default_rng(2024))
+    assert pairs.shape == (30_000, 2)
+    assert np.all(pairs[:, 0] != pairs[:, 1])
+    assert pairs.min() >= 0 and pairs.max() < n
+    counts = np.bincount(pairs[:, 0] * n + pairs[:, 1], minlength=n * n)
+    ordered = [a * n + b for a in range(n) for b in range(n) if a != b]
+    res = chi_square(counts[ordered], np.ones(len(ordered)), significance=0.001)
+    assert res.passed, res
 
 
 def test_audit_client_sweep_exhaustive_small():

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from ldptrack import baselines, randomizer
+from ldptrack.audit import audit_client
 from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer
+from ldptrack.dyadic import derive
 from ldptrack.engine import simulate_rep
 from ldptrack.errors import ConfigError
+from ldptrack.harness import ExperimentSpec, run_experiment
 from ldptrack.protocol import client_init, client_step, server_scale
-from ldptrack.randomizer import gap_lower_bound_expr
+from ldptrack.randomizer import g_weight, gap_lower_bound_expr
 
 
 def test_naive_gap_k1():
@@ -170,3 +174,61 @@ def test_sample_one_unbiased_small():
     D = np.array(diffs)
     z = np.abs(D.mean(axis=0)) / (D.std(axis=0, ddof=1) / np.sqrt(len(D)))
     assert z.max() < 4.5, z
+
+
+def test_one_config_is_shared_per_algorithm_k_and_eps():
+    baselines._algorithm_config.cache_clear()
+    alg = algorithm_config("sample-one", 4, 1)
+    assert type(alg.eps) is float and alg.eps == 1.0
+    assert not alg.randomizer.distance_cdf.flags.writeable
+    for L in (None, 4, 1024):
+        for tag in ("sample_one", "sample-one"):
+            for eps in (1, 1.0):
+                assert algorithm_config(tag, 4, eps, L=L) is alg
+    assert algorithm_config("sample_one", 4, mpf(1)) is alg
+    assert algorithm_config("sample_one", 4, np.float64(1)) is alg
+    assert algorithm_config("sample_one", 4, 0.5) is not alg
+    assert algorithm_config("naive", 4, 1.0) is not alg
+
+
+def test_a_config_is_shared_only_at_its_own_precision():
+    baselines._algorithm_config.cache_clear()
+    alg = algorithm_config("futurerand", 4, 1.0)
+    with mp.workdps(80):
+        wide = algorithm_config("futurerand", 4, 1.0)
+        assert wide is not alg
+        # eps_tilde = 1 / (5 sqrt(4)) = 1/10, rounded at 80 digits, not at 50
+        assert wide.randomizer.eps_tilde == mpf(1) / 10 != alg.randomizer.eps_tilde
+    assert algorithm_config("futurerand", 4, 1.0) is alg
+
+
+def test_a_config_error_is_never_cached():
+    baselines._algorithm_config.cache_clear()
+    bad = [("nope", 4, 1.0, None), ("futurerand", 0, 1.0, None), ("naive", 4, 0.0, None),
+           ("sample_one", 4, -1.0, None), ("futurerand", 4, 1.5, None), ("bns19", 4, 1.5, None),
+           ("naive", 5, 1.0, 4), ("naive", 4, "1", None), ("naive", 4, None, None)]
+    for _ in range(2):
+        for tag, k, eps, L in bad:
+            with pytest.raises(ConfigError):
+                algorithm_config(tag, k, eps, L=L)
+    assert baselines._algorithm_config.cache_info().currsize == 0
+    # a cached config still fails a later call whose L is below its k
+    assert algorithm_config("naive", 5, 1.0).k == 5
+    with pytest.raises(ConfigError):
+        algorithm_config("naive", 5, 1.0, L=4)
+
+
+def test_run_certificate_and_audit_derive_one_distance_law(monkeypatch):
+    # the run, its certificate and a client audit at the same (k, eps) share
+    # one config, so g is evaluated once per distance in all
+    baselines._algorithm_config.cache_clear()
+    calls = []
+    monkeypatch.setattr(randomizer, "g_weight",
+                        lambda *a: calls.append(a) or g_weight(*a))
+    k = 4
+    spec = ExperimentSpec(n=50, d=8, k=k, eps=1.0, beta=0.1, algo="futurerand")
+    metrics = run_experiment(spec)
+    assert metrics.certificate.passed
+    stream = derive((0, 1, 1, 0), k=k)
+    assert audit_client(4, k, 1.0, stream, stream).passed
+    assert len(calls) == k + 1

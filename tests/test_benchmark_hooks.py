@@ -42,3 +42,11 @@ def test_import_does_not_pull_in_the_thread_pool():
                     "import ldptrack, sys; "
                     "assert not {'concurrent.futures', 'logging'} & set(sys.modules)"],
                    env=env, check=True)
+
+
+def test_import_builds_no_config():
+    env = dict(os.environ, PYTHONPATH=str(BENCH.parent / "src"))
+    subprocess.run([sys.executable, "-c",
+                    "import ldptrack; from ldptrack.baselines import _algorithm_config; "
+                    "assert _algorithm_config.cache_info().currsize == 0"],
+                   env=env, check=True)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from ldptrack import harness
+from ldptrack import baselines, harness
 from ldptrack.baselines import ALGORITHMS, algorithm_config
 from ldptrack.dyadic import decompose
 from ldptrack.engine import (sample_changes, simulate_rep, substream,
@@ -300,3 +300,15 @@ def test_scaling_study_checks_every_cell_before_running_one(monkeypatch):
     base = ExperimentSpec(n=10, d=8, k=2, eps=1.0, beta=0.1)
     with pytest.raises(ValueError, match="k=16 exceeds horizon d=8"):
         scaling_study(base, [2, 16], ["futurerand"])
+
+
+def test_a_run_and_its_certificate_build_no_prefix_masses():
+    # the O(k^2) table stays on the shared config once read, and only the
+    # enumeration audits (k <= 4) read it
+    baselines._algorithm_config.cache_clear()
+    spec = ExperimentSpec(n=8, d=1024, k=1024, eps=1.0, beta=0.1, algo="futurerand")
+    metrics = run_experiment(spec)
+    assert metrics.certificate.passed
+    cfg = spec.algorithm().randomizer
+    assert "distance_cdf" in cfg.__dict__
+    assert "prefix_masses" not in cfg.__dict__

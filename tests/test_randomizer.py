@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from ldptrack import randomizer
+from ldptrack import baselines, randomizer
 from ldptrack.audit import audit_randomizer
 from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer
 from ldptrack.errors import CapacityError, ConfigError
@@ -101,6 +101,7 @@ def test_exact_readers_share_one_distance_law(algo, k, monkeypatch):
     # the CDF, the prefix masses, the audit, the 2^k table and the gap lower
     # bound all read the law the config derived: g is evaluated once per
     # distance, plus once at ub_real by the lower bound's applicability test
+    baselines._algorithm_config.cache_clear()  # configs are shared: count a fresh one
     calls = []
     monkeypatch.setattr(randomizer, "g_weight",
                         lambda *a: calls.append(a) or g_weight(*a))
