@@ -10,7 +10,8 @@ oracle that lists no full output: audit_client on one pair at any d, and
 audit_client_sweep over the streams of d <= 16, both at k <= 4.  A pair's
 worst ratio at an order is a function of its overlap signature (plain
 clients) or of the output patterns on the windows its changes touch
-(sample-one), computed once per distinct signature in a call.
+(sample-one), computed once per distinct signature in a call.  Floats only screen:
+exact ratios are compared within a relative 1e-9 of the float maximum, beyond rounding.
 """
 
 from __future__ import annotations
@@ -144,22 +145,20 @@ def _pattern_cells(alg: AlgorithmConfig, h: int, pair_changes: list,
     Pattern r sets window touched[i] to +1 where bit len(touched) - 1 - i of
     r is set, so r counts up in itertools.product order over the windows
     ascending, -1 first.  A stream's value depends on r only through the
-    bits of its own windows.
+    bits of its own windows, so each word r & mask gets one value id; r is
+    visited in ascending order, so a cell keeps the first r that reaches it.
     """
     units = [_units(alg, changes, h) for changes in pair_changes]
     touched = sorted({w for part in units for w, _ in part})
     shift = {w: len(touched) - 1 - i for i, w in enumerate(touched)}
     masks = [sum({1 << shift[w] for w, _ in part}) for part in units]
-    patterns = np.arange(1 << len(touched))
-    ids = []
-    for part, mask in zip(units, masks):
-        words, inverse = np.unique(patterns & mask, return_inverse=True)
-        ids.append(np.array([value_id(_terms(alg, part, [(word >> shift[w] & 1) ^ (s > 0)
-                                                         for w, s in part]))
-                             for word in words.tolist()])[inverse])
-    n = 1 + max(int(i.max()) for i in ids)
-    codes, first = np.unique(ids[0] * n + ids[1], return_index=True)
-    return touched, {divmod(code, n): r for code, r in zip(codes.tolist(), first.tolist())}
+    patterns = range(1 << len(touched))
+    ids = [{word: value_id(_terms(alg, part, [(word >> shift[w] & 1) ^ (s > 0) for w, s in part]))
+            for word in {r & mask for r in patterns}} for part, mask in zip(units, masks)]
+    cells: dict[tuple[int, int], int] = {}
+    for r in patterns:
+        cells.setdefault((ids[0][r & masks[0]], ids[1][r & masks[1]]), r)
+    return touched, cells
 
 
 def _client_algorithm(d: int, k: int, eps: float, algorithm: str) -> AlgorithmConfig:
@@ -190,9 +189,15 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
     rank of each change's window among both streams' change windows.
     Values are taken at order 0: an order-h value is exactly 2^(d - L) times
     that, a power of two that mpf arithmetic scales by without rounding, so
-    no ratio depends on h.  The witness is the first pair, in index_pairs
-    order, that attains the maximum, at its first such order and the first
-    output in itertools.product order: -1 on every window no change touches.
+    no ratio depends on h.  Each value's float, 2^d times it, lies in
+    [2^k' min law, 2^k' max law] / (1 + log2 d) (audit_client_certificate), a
+    normal float: algorithm_config's gap check keeps min law above ~1e-200 at k <= 4.
+    Codes, then cells, whose float ratio is within a relative 1e-9 of the
+    largest are compared as mpf ratios, the only ones decided or reported; a
+    float ratio is within ~3 2^-53 of its mpf one, so a maximal cell always
+    passes.  The witness is the first pair, in index_pairs order, that attains
+    the maximum, at its first such order and the first output in
+    itertools.product order: -1 on every window no change touches.
     """
     used, slots = np.unique(np.asarray(index_pairs), return_inverse=True)
     pairs = slots.reshape(-1, 2)
@@ -200,6 +205,7 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
     k, num_orders = alg.k, d.bit_length()
     masses = alg.randomizer.prefix_masses
     values: list[mpf] = []
+    scaled: list[float] = []  # each value times 2^d, a normal float
     value_ids: dict[mpf, int] = {}
 
     @functools.cache
@@ -221,7 +227,12 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
         if v not in value_ids:
             value_ids[v] = len(values)
             values.append(v)
+            scaled.append(float(mp.ldexp(v, d)))
         return value_ids[v]
+
+    def screen(id_a: int, id_b: int) -> float:
+        a, b = scaled[id_a], scaled[id_b]
+        return a / b if a > b else b / a
 
     @functools.cache
     def ratio(id_a: int, id_b: int) -> mpf:
@@ -258,7 +269,7 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
             sums = sums[:, ::2] + sums[:, 1::2]
 
     distinct, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
-    worst_ratios = []
+    code_cells, screened = [], []
     for code, at in zip(distinct.tolist(), first.tolist()):
         pair, h = divmod(at, num_orders)
         if alg.keep_one:
@@ -272,12 +283,16 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
             cells = {(ids_a[x + y + u], ids_b[x + disagree - y + v])
                      for x in range(agree + 1) for y in range(disagree + 1)
                      for u in range(own_a + 1) for v in range(own_b + 1)}
-        worst_ratios.append(max(itertools.starmap(ratio, cells)))
-    top = max(worst_ratios)
-    attains = np.array([r == top for r in worst_ratios])
+        code_cells.append(cells)
+        screened.append(max(itertools.starmap(screen, cells)))
+    edge = max(screened) * (1 - 1e-9)
+    exact = {i: max(ratio(*cell) for cell in cells if screen(*cell) >= edge)
+             for i, cells in enumerate(code_cells) if screened[i] >= edge}
+    top = max(exact.values())
+    attains = np.array([i in exact and exact[i] == top for i in range(len(code_cells))])
     pair, h = divmod(int(attains[inverse].argmax()), num_orders)
     touched, cells = _pattern_cells(alg, h, [changes[s] for s in pairs[pair]], value_id)
-    row = min(r for cell, r in cells.items() if ratio(*cell) == top)
+    row = min(r for cell, r in cells.items() if screen(*cell) >= edge and ratio(*cell) == top)
     output = [-1] * (d >> h)
     for i, w in enumerate(touched):
         output[w] = 1 if row >> (len(touched) - 1 - i) & 1 else -1

@@ -131,6 +131,13 @@ def test_class_pair_ratio_equals_per_key_reference(algo):
     # on exhaustive and sampled sweeps; the witness key's own ratio is the maximum
     runs = [(d, k, 1.0, None) for d, k in ((4, 2), (8, 2))]
     runs += [(8, 3, eps, 100) for eps in (0.5, 1.0)]
+    # the float screen's edges: at eps = 1e-6 every cell is within ~1e-7 of the
+    # maximum, and at the largest eps a config accepts the values spread widest
+    runs.append((4, 2, 1e-6, None))
+    if algo in ("naive", "sample_one"):
+        with pytest.raises(ConfigError):
+            algorithm_config(algo, 2, 236.0, L=4)
+        runs.append((4, 2, 235.0, None))
     for d, k, eps, pairs in runs:
         n = len(enumerate_streams(d, k))
         if pairs is None:
@@ -147,6 +154,21 @@ def test_class_pair_ratio_equals_per_key_reference(algo):
         va = laws[tuple(worst["stream"])][key]
         vb = laws[tuple(worst["stream_alt"])][key]
         assert max(va / vb, vb / va) == report.max_ratio
+
+
+def test_sampled_sweep_compares_few_exact_ratios(monkeypatch):
+    # only cells whose float ratio is within 1e-9 of the float maximum are
+    # compared as mpf ratios; a sweep that compares every cell makes 306 and 72
+    algorithm_config("futurerand", 3, 1.0, L=8).randomizer.prefix_masses  # not counted
+    cls = type(mpf(1))
+    counts = dict.fromkeys(("__gt__", "__truediv__"), 0)
+    for name in counts:
+        def counted(*args, name=name, method=getattr(cls, name)):
+            counts[name] += 1
+            return method(*args)
+        monkeypatch.setattr(cls, name, counted)
+    audit_client_sweep(8, 3, 1.0, pairs=100, rng=np.random.default_rng(5))
+    assert counts["__gt__"] <= 60 and counts["__truediv__"] <= 40, counts
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
