@@ -4,7 +4,7 @@ Each client samples one dyadic order h, and at every multiple of 2^h
 reports a single perturbed bit for the window that just closed: non-zero
 window sums consume the next coordinate of a noise vector pre-drawn from
 the composed randomizer at init, zero sums are reported as fresh fair
-coin flips.  The server buckets users by order, scales the per-window bit
+coin flips.  The server keeps each user's order, scales the per-window bit
 sums by (1 + log2 d) / gap and assembles estimates along the dyadic
 decomposition of each time step.
 """
@@ -123,15 +123,16 @@ def client_step(state: ClientState, t: int, delta: int) -> int | None:
 
 @dataclass
 class ServerState:
-    """Users bucketed by order, and per order the exact integer bit sum of
-    every closed window: ``sums[h][j - 1]`` for window j of order h."""
+    """Each user's order ``h_of[user]``, the number of users at each order
+    ``registered[h]``, and per order the exact integer bit sum of every
+    closed window: ``sums[h][j - 1]`` for window j of order h."""
 
     d: int
     k: int
     eps: float
     scale: mpf
-    buckets: dict[int, set[int]] = field(default_factory=dict)
     h_of: dict[int, int] = field(default_factory=dict)
+    registered: list[int] = field(default_factory=list)
     sums: list[np.ndarray] = field(default_factory=list)
     next_t: int = 1
 
@@ -164,17 +165,17 @@ def server_init(d: int, k: int, eps: float, gap_value: mpf,
     scale = server_scale(d, gap_value, extra_factor)
     orders = range(d.bit_length())
     return ServerState(d=d, k=k, eps=eps, scale=scale,
-                       buckets={h: set() for h in orders},
+                       registered=[0] * len(orders),
                        sums=[np.zeros(d >> h, dtype=np.int64) for h in orders])
 
 
 def server_register(state: ServerState, user: int, h: int) -> None:
     if user in state.h_of:
         raise ProtocolError(f"user {user} already registered")
-    if h not in state.buckets:
+    if not 0 <= h < len(state.registered):
         raise ProtocolError(f"order {h} outside [0, {state.d.bit_length() - 1}]")
     state.h_of[user] = h
-    state.buckets[h].add(user)
+    state.registered[h] += 1
 
 
 def server_step(state: ServerState, t: int,
@@ -190,9 +191,9 @@ def server_step(state: ServerState, t: int,
     if t > state.d:
         raise ProtocolError(f"t={t} outside [1, {state.d}]")
     state.next_t += 1
-    due_orders = [h for h in state.buckets if t % (1 << h) == 0]
+    due_orders = [h for h in range(len(state.registered)) if t % (1 << h) == 0]
     seen: set[int] = set()
-    step_sums = [0] * len(state.buckets)
+    step_sums = [0] * len(state.registered)
     for user, bit in reports:
         h = state.h_of.get(user)
         if h is None:
@@ -205,9 +206,9 @@ def server_step(state: ServerState, t: int,
             raise ValueError(f"bit must be -1 or +1, got {bit}")
         seen.add(user)
         step_sums[h] += bit
-    if len(seen) != sum(len(state.buckets[h]) for h in due_orders):
-        missing = set().union(*(state.buckets[h] for h in due_orders)) - seen
-        raise ProtocolError(f"missing reports at t={t} from users {sorted(missing)}")
+    if len(seen) != sum(state.registered[h] for h in due_orders):
+        missing = sorted(u for u, h in state.h_of.items() if t % (1 << h) == 0 and u not in seen)
+        raise ProtocolError(f"missing reports at t={t} from users {missing}")
     for h in due_orders:
         state.sums[h][(t >> h) - 1] = step_sums[h]
     return readout(state.scale, state.sums, t, state.d)
@@ -318,33 +319,21 @@ _KEYS_TO_SPACES = str.maketrans(dict.fromkeys('{}":,behirstu', " "))
 _BLOCK_CHARS = 1 << 18
 
 
-def _blocks(fp: IO[str]) -> Iterator[str]:
-    """The text of fp as runs of whole lines, each ending in a newline and
-    at most _BLOCK_CHARS long unless a single line is longer."""
-    tail = ""
-    while chunk := fp.read(_BLOCK_CHARS - len(tail) if len(tail) < _BLOCK_CHARS
-                           else _BLOCK_CHARS):
-        tail += chunk
-        cut = tail.rfind("\n") + 1
-        if cut:
-            yield tail[:cut]
-            tail = tail[cut:]
-    if tail:
-        # a last line without its newline reads the same with one
-        yield tail + "\n"
-
-
 def read_reports(fp: IO[str]) -> ReportBatch:
     """Records of the non-blank lines of fp, read in blocks.
 
-    A block whose lines are all exactly as write_reports writes them (the
-    common case) is parsed as one int64 array; any other block goes line by
-    line through from_json, which accepts every JSON object with exactly
-    the four int64 fields and raises ValueError for the rest.  Lines end where
-    the text fp.read returns has a newline.
+    Each block is _BLOCK_CHARS of text read on with readline to a newline;
+    lines end at the newlines of the text fp.read returns, and a last line
+    without one gets one.  A block whose lines are all as write_reports
+    writes them (the common case) is parsed as one int64 array; any other
+    block goes line by line through from_json, which accepts every JSON
+    object of exactly the four int64 fields and raises ValueError otherwise.
     """
     parts = [np.empty((0, 4), dtype=np.int64)]
-    for block in _blocks(fp):
+    while block := fp.read(_BLOCK_CHARS):
+        # loops because readline on a newline="" file also stops at a lone "\r"
+        while not block.endswith("\n"):
+            block += fp.readline() or "\n"
         if _CANONICAL_LINES.fullmatch(block):
             ints = np.fromstring(block.translate(_KEYS_TO_SPACES), dtype=np.int64, sep=" ")
             parts.append(ints.reshape(-1, 4))

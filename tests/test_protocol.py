@@ -122,7 +122,7 @@ def test_server_register_buckets():
     server = server_init(4, 2, 1.0, mpf(1))
     for uid in range(6):
         server_register(server, uid, uid % 3)
-    assert {h: len(b) for h, b in server.buckets.items()} == {0: 2, 1: 2, 2: 2}
+    assert server.registered == [2, 2, 2]
     with pytest.raises(ProtocolError):
         server_register(server, 3, 0)
     with pytest.raises(ProtocolError):
@@ -165,6 +165,12 @@ def test_server_step_validates_reports():
     server_step(server, 1, [(0, 1)])
     with pytest.raises(ProtocolError):
         server_step(server, 2, [(0, 1)])  # order-1 user missing at t=2
+    server = server_init(4, 2, 1.0, mpf(1))
+    for uid, h in ((0, 0), (3, 0), (1, 1), (2, 2)):
+        server_register(server, uid, h)
+    server_step(server, 1, [(0, 1), (3, 1)])
+    with pytest.raises(ProtocolError, match=r"missing reports at t=2 from users \[0, 1\]$"):
+        server_step(server, 2, [(3, 1)])  # user 2 (order 2) is not due
     server = server_init(2, 2, 1.0, mpf(1))
     server_step(server, 1, [])
     server_step(server, 2, [])
@@ -469,6 +475,25 @@ def test_read_reports_across_blocks_with_a_noncanonical_line(tmp_path):
     path.write_bytes(text.replace("\n", "\r\n").encode())
     with path.open() as fp:
         assert read_reports(fp) == records
+    # a lone "\r" (JSON whitespace) inside a line: newline=None reads it as a
+    # line end, and readline on a newline="" file stops there
+    crlf = text.replace("\n", "\r\n")
+    cr = crlf.index(":", crlf.index("\n", len(crlf) // 2)) + 1
+    path.write_bytes((crlf[:cr] + "\r" + crlf[cr:]).encode())
+    for newline in (None, "", "\r\n"):
+        with path.open(newline=newline) as fp:
+            try:
+                expected = _line_by_line(fp.read())
+            except ValueError:
+                expected = ValueError
+        for block_chars in (1, 7, protocol._BLOCK_CHARS):
+            with path.open(newline=newline) as fp, \
+                    mock.patch.object(protocol, "_BLOCK_CHARS", block_chars):
+                if expected is ValueError:
+                    with pytest.raises(ValueError):
+                        read_reports(fp)
+                else:
+                    assert read_reports(fp) == expected
     # digits outside ASCII are not JSON numbers
     for digit in ("\u0661", "\uff11"):
         lines[mid] = f'{{"user": 1{digit}, "h": 0, "t": 1, "bit": 1}}\n'
