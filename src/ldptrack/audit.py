@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
-from .baselines import AlgorithmConfig, algorithm_config, client_randomizer
+from .baselines import AlgorithmConfig, algorithm_config
 from .dyadic import DerivativeStream, _check_horizon
 from .errors import CapacityError
 # exact_output_distribution stays an attribute here: perfbench's audit workload wraps it
@@ -345,8 +345,8 @@ def audit_client_certificate(d: int, k: int, eps: float,
     At order h an output over L = d >> h windows has probability
     (1 + log2 d)^-1 2^-L sum_v w_v 2^m_v masses[m_v][j_v], with weights w_v
     summing to 1: one variant for a plain client, one per kept slot for
-    sample-one.  With law the distance law of client_randomizer(alg), of
-    length k' (k, or 1 for sample-one, whose m <= 1), each 2^m masses[m][j]
+    sample-one.  With law the distance law of alg.randomizer, over its k'
+    coordinates (k, or 1 for sample-one, whose m <= 1), each 2^m masses[m][j]
     is the mean of 2^k' law[.] over the completions of an m-prefix, so it
     lies in [2^k' min law, 2^k' max law].  Two streams share h and L, so
     their ratio is at most max(law) / min(law), audit_randomizer's ratio.
@@ -359,7 +359,7 @@ def audit_client_certificate(d: int, k: int, eps: float,
     """
     _check_horizon(d)
     alg = algorithm_config(algorithm, k, eps, L=d)
-    report = audit_randomizer(client_randomizer(alg))
+    report = audit_randomizer(alg.randomizer)
     worst = None
     if 2 * k <= d:
         hi, lo = (report.worst_case[key].count(-1) * (k if alg.keep_one else 1)

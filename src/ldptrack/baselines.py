@@ -25,20 +25,23 @@ __all__ = [
     "AlgorithmConfig",
     "algo_tag",
     "algorithm_config",
-    "client_randomizer",
 ]
 
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    """An algorithm tag with its derived randomizer parameters."""
+    """An algorithm tag, its change bound k and the randomizer its clients apply
+    (one coordinate for sample-one, which reports at most one non-zero sum)."""
 
     tag: str
+    k: int
     randomizer: RandomizerConfig
 
     def __post_init__(self) -> None:
         if self.tag not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm tag {self.tag!r}")
+        if self.randomizer.k != (1 if self.keep_one else self.k):
+            raise ConfigError(f"{self.tag} at k={self.k}: randomizer k={self.randomizer.k}")
 
     @property
     def gap(self) -> mpf:
@@ -47,10 +50,6 @@ class AlgorithmConfig:
     @property
     def eps(self) -> float:
         return self.randomizer.eps
-
-    @property
-    def k(self) -> int:
-        return self.randomizer.k
 
     @property
     def keep_one(self) -> bool:
@@ -72,7 +71,7 @@ def algorithm_config(tag: str, k: int, eps: float,
                      L: int | None = None) -> AlgorithmConfig:
     """Config of algorithm ``tag``; with ``L`` set, k must not exceed it.
 
-    A real eps is taken as a float.  One immutable config per (algorithm, k, float(eps),
+    k is taken as an int and eps as a float.  One immutable config per (algorithm, k, eps,
     mp.prec) is built per process and shared by all callers; a ConfigError caches nothing.
 
     Each algorithm is a per-bit budget eps_tilde and a real annulus on the
@@ -85,7 +84,8 @@ def algorithm_config(tag: str, k: int, eps: float,
     - naive: independent randomized response (annulus [0, k]) at
       eps_tilde = eps / k.
     - sample_one: keep one of k potential changes, perturb it with
-      randomized response at eps_tilde = eps / 2.  The slot is drawn
+      randomized response at eps_tilde = eps / 2: its randomizer has one
+      coordinate, the one the client applies.  The slot is drawn
       uniformly from k slots of which the user's actual changes fill the
       first m <= k; an empty slot keeps nothing.  Each real change
       therefore survives with probability exactly 1/k, and the server's
@@ -96,11 +96,13 @@ def algorithm_config(tag: str, k: int, eps: float,
       eps = 6 eps_tilde sqrt(k ln(1/lambda)) holds identically.  Requires
       eps <= 1 and lambda < (eps_tilde sqrt(k) / (2(k+1)))^(2/3).
     """
+    if not isinstance(k, numbers.Integral):
+        raise ConfigError(f"k={k!r} must be an integer")
     if L is not None and k > L:
         raise ConfigError(f"need k <= L, got k={k}, L={L}")
     if not isinstance(eps, numbers.Real):
         raise ConfigError(f"eps={eps!r} must be a real number")
-    return _algorithm_config(algo_tag(tag), k, float(eps), mp.prec)
+    return _algorithm_config(algo_tag(tag), int(k), float(eps), mp.prec)
 
 
 @functools.cache
@@ -133,21 +135,6 @@ def _algorithm_config(tag: str, k: int, eps: float, prec: int) -> AlgorithmConfi
     elif tag == "naive":
         et, lb_real, ub_real = mpf(eps) / k, mpf(0), mpf(k)
     else:
-        et, lb_real, ub_real = mpf(eps) / 2, mpf(0), mpf(k)
-    return AlgorithmConfig(tag=tag, randomizer=_build_config(eps, k, et, lb_real, ub_real))
-
-
-def client_randomizer(alg: AlgorithmConfig) -> RandomizerConfig:
-    """The randomizer a client of this algorithm actually applies.
-
-    A keep-one client reports at most one non-zero window sum, through
-    coordinate 0 of its noise vector, so what it applies is randomized
-    response on one coordinate at the per-coordinate budget; it is audited
-    against the algorithm's end-to-end eps.  Other clients use every
-    coordinate of the algorithm's randomizer.
-    """
-    cfg = alg.randomizer
-    if not alg.keep_one:
-        return cfg
-    return _build_config(cfg.eps, 1, cfg.eps_tilde, mpf(0), mpf(1))
+        return AlgorithmConfig(tag, k, _build_config(eps, 1, mpf(eps) / 2, mpf(0), mpf(1)))
+    return AlgorithmConfig(tag, k, _build_config(eps, k, et, lb_real, ub_real))
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .audit import audit_client_certificate, audit_randomizer
-from .baselines import ALGORITHMS, algo_tag, algorithm_config, client_randomizer
+from .baselines import ALGORITHMS, algo_tag, algorithm_config
 from .engine import CHANGE_MODELS
 from .errors import ConfigError, ProtocolError
 from .harness import ExperimentSpec, run_experiment, scaling_study
@@ -130,7 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     if args.target == "randomizer":
-        report = audit_randomizer(client_randomizer(algorithm_config(args.algo, args.k, args.eps)))
+        report = audit_randomizer(algorithm_config(args.algo, args.k, args.eps).randomizer)
     else:
         report = audit_client_certificate(args.d, args.k, args.eps, algorithm=args.algo)
     _emit(report.to_json(), args.out)
@@ -143,7 +143,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     lower = gap_lower_bound_expr(cfg)
     print(json.dumps({
         "algo": alg.tag,
-        "k": cfg.k,
+        "k": alg.k,
         "eps": cfg.eps,
         "eps_tilde": float(cfg.eps_tilde),
         "p": float(cfg.p),

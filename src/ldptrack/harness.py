@@ -273,6 +273,8 @@ def scaling_study(base: ExperimentSpec, k_grid: list[int],
         raise ValueError(f"k grid {k_grid} needs two distinct k to fit a slope")
     specs = {(algo, k): replace(base, k=k, algo=algo, out=None)
              for algo in algorithms for k in k_grid}
+    for spec in specs.values():
+        spec.algorithm()  # a cached config: the cell's run builds nothing again
     cells = []
     slopes = {}
     for algo in algorithms:

@@ -65,7 +65,7 @@ class ClientState:
 
 def client_init(alg: AlgorithmConfig, d: int, rng: np.random.Generator,
                 change_times: Sequence[int] | None = None) -> ClientState:
-    """Sample the order uniformly and pre-draw the noise vector R~(1^k).
+    """Sample the order uniformly and pre-draw the noise vector R~(1^k'), k' = alg.randomizer.k.
 
     A sample-one client then draws its kept slot, once, over the user's
     full derivative, so it needs the change times upfront: the one place a

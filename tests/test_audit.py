@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 
 from ldptrack.audit import (_draw_pairs, audit_client, audit_client_certificate,
                             audit_client_sweep, audit_randomizer, enumerate_streams)
-from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer
+from ldptrack.baselines import ALGORITHMS, algorithm_config
 from ldptrack.dyadic import DerivativeStream, derive
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.protocol import ClientState, client_init, client_step
@@ -53,7 +53,7 @@ def _buildable_randomizers(ks, eps_grid, algos=ALGORITHMS):
         for k in ks:
             for eps in eps_grid:
                 try:
-                    yield client_randomizer(algorithm_config(algo, k, eps))
+                    yield algorithm_config(algo, k, eps).randomizer
                 except ConfigError:
                     continue
 
@@ -74,11 +74,11 @@ def test_audit_randomizer_matches_brute_force_over_all_inputs():
         assert abs(ratio - report.max_ratio) <= mpf("1e-30") * ratio
 
 
-@pytest.mark.parametrize("k", [64, 256, 1024])
+@pytest.mark.parametrize("k", [3, 8, 64, 256, 1024])
 def test_audit_randomizer_large_k(k):
     for algo in ("futurerand", "bns19", "naive", "sample_one"):
         for eps in (0.25, 0.5, 1.0):
-            cfg = client_randomizer(algorithm_config(algo, k, eps))
+            cfg = algorithm_config(algo, k, eps).randomizer
             report = audit_randomizer(cfg)
             assert report.passed, (algo, k, eps, float(report.max_ratio))
             assert report.max_ratio <= mp.exp(mpf(eps)) * (1 + mpf("1e-9"))
@@ -435,7 +435,8 @@ def _enumerated_client_law(alg, d, stream):
     noise vector (exact table rows) and fair-coin sequence."""
     k = alg.k
     num_orders = d.bit_length()
-    table = exact_output_distribution(np.ones(k, dtype=np.int8), alg.randomizer).probs
+    table = exact_output_distribution(np.ones(alg.randomizer.k, dtype=np.int8),
+                                      alg.randomizer).probs
     change_times = stream.change_times()
     if alg.keep_one:
         slots = [(mpf(1) / k, change_times[s] if s < len(change_times) else None)

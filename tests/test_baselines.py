@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 
 from ldptrack import baselines, randomizer
 from ldptrack.audit import audit_client
-from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer
+from ldptrack.baselines import ALGORITHMS, algorithm_config
 from ldptrack.dyadic import derive
 from ldptrack.engine import simulate_rep
 from ldptrack.errors import ConfigError
@@ -115,8 +115,8 @@ def _exact(x):
 
 def test_every_config_is_pinned():
     # SHA-256 over the chosen and derived values, the sampler's CDF bytes and
-    # the gap lower bound of each algorithm's randomizer and its client
-    # randomizer, bit for bit, across the grid; the cells that raise are pinned too
+    # the gap lower bound of each algorithm's randomizer, the one its clients
+    # apply, bit for bit, across the grid; the cells that raise are pinned too
     digest, raised = hashlib.sha256(), set()
     for tag in ALGORITHMS:
         for k in (1, 2, 3, 8, 64, 256, 1024):
@@ -126,15 +126,15 @@ def test_every_config_is_pinned():
                 except ConfigError:
                     raised.add((tag, k, eps))
                     continue
-                for cfg in (alg.randomizer, client_randomizer(alg)):
-                    fields = (cfg.eps_tilde, cfg.lb, cfg.ub, cfg.ub_real, cfg.p, cfg.gap,
-                              gap_lower_bound_expr(cfg))
-                    digest.update(" ".join(map(_exact, fields)).encode())
-                    digest.update(cfg.distance_cdf.tobytes())
+                cfg = alg.randomizer
+                fields = (cfg.eps_tilde, cfg.lb, cfg.ub, cfg.ub_real, cfg.p, cfg.gap,
+                          gap_lower_bound_expr(cfg))
+                digest.update(" ".join(map(_exact, fields)).encode())
+                digest.update(cfg.distance_cdf.tobytes())
     assert raised == {(tag, k, 1.5) for tag in ("futurerand", "bns19")
                       for k in (1, 2, 3, 8, 64, 256, 1024)}
     assert digest.hexdigest() == (
-        "7d28252f0acb2441a18b73adfc11ae9dfe3e5389d3b6f14609ef7e96b1e7dac3")
+        "571640ec10bc2637debf06012ae9d9c8d946d11ebce826b62a31ae1775631740")
 
 
 def test_algorithm_config_rejects_k_above_l():
@@ -206,7 +206,8 @@ def test_a_config_error_is_never_cached():
     baselines._algorithm_config.cache_clear()
     bad = [("nope", 4, 1.0, None), ("futurerand", 0, 1.0, None), ("naive", 4, 0.0, None),
            ("sample_one", 4, -1.0, None), ("futurerand", 4, 1.5, None), ("bns19", 4, 1.5, None),
-           ("naive", 5, 1.0, 4), ("naive", 4, "1", None), ("naive", 4, None, None)]
+           ("naive", 5, 1.0, 4), ("naive", 4, "1", None), ("naive", 4, None, None),
+           ("naive", 4.0, 1.0, None), ("naive", "4", 1.0, None), ("naive", None, 1.0, None)]
     for _ in range(2):
         for tag, k, eps, L in bad:
             with pytest.raises(ConfigError):

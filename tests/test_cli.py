@@ -79,6 +79,12 @@ def test_gap_command(capsys):
     code = main(["gap", "--k", "8", "--eps", "1.0", "--algo", "naive"])
     assert code == 0
     capsys.readouterr()
+    # sample-one prints its own k and the one-coordinate annulus its clients apply
+    code = main(["gap", "--k", "4", "--eps", "1", "--algo", "sample-one"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["k"], payload["lb"], payload["ub"]) == (4, 0, 1)
+    assert payload["gap"] == pytest.approx(math.tanh(0.25), rel=1e-12)
 
 
 def test_audit_randomizer_command(capsys, tmp_path):

@@ -193,12 +193,13 @@ def test_engine_reports_follow_the_audited_client_law(algo, series, monkeypatch)
 
 # SHA-256 of the NDJSON dump, as written by the engine that built one
 # ReportRecord per bit: the columnar engine writes the same records, in the
-# same order, from the same randomness
+# same order, from the same randomness (sample-one's since its noise comes
+# from its one-coordinate randomizer)
 _DUMP_SHA256 = {
     ("futurerand", 0): "7c53ea874b02bbe8aeb0a263f41ebbe8d3c38efdc1a1502ec680dc8c9638d1cb",
     ("futurerand", 1): "dd39e7172e9546b2006a856374cebcaa039b1797ee809f8ab873d2d8cf901ef2",
-    ("sample_one", 0): "aa9c6222269b2a8663d07e121eb6dbf55257d68ad0f9ff3aa0ad9bfd34982190",
-    ("sample_one", 1): "eed3e584b058da0d07af1c5b9a309091c584846077ae657dad123707009d6575",
+    ("sample_one", 0): "815d47c82a00dbde4328e894edbd0bb371ef1cbbc151e4a537eb0fdbc3a43ac6",
+    ("sample_one", 1): "5877a3a5bfb0bfe3239028bb9e4e875836f151b96560d37af0bde35ac9508577",
 }
 
 
@@ -242,6 +243,7 @@ def test_window_stage_matches_a_dense_reference():
 # 32768-user shards (three, the last one short) as the engine with
 # full-width window temporaries computed them, and with 8192-user shards
 # (nine, the last of 5 users).  Only the shard layout moves the outputs.
+# Sample-one's entries date from its noise's one-coordinate randomizer.
 # d = k = 256 takes _uniform_subsets through its complement and pad branches.
 _OUTPUT_SHA256 = {
     1 << 15: {
@@ -254,15 +256,15 @@ _OUTPUT_SHA256 = {
         ("naive", 256, 256, "uniform"):
             "09385d0b5f798b96d0ffe58af0dfdd10bba080511134e710f729104ef7e2f04a",
         ("sample_one", 1024, 64, "uniform"):
-            "59c3d1bc66c3eec30ca723b23947b196441465aa00f7ee7f92987415d626bcfc",
+            "0cc6e473100418a5ddec3fd3d4e7d8a43cd7095fd55e8f5988a715f3b799e1c1",
         ("sample_one", 256, 256, "uniform"):
-            "a0af26afbf4a883fbf3d1acec3258d53a786b565e067890c51fe4b507cc9b881",
+            "432e03e5f2eff77143f10885a26d0eb853ff580fce3b847019192b76f30493a7",
         ("bns19", 1024, 64, "uniform"):
             "1a0c1536d07bea14f0c4eaf06489edd46daff1b296664e7639d939ae735fcfb4",
         ("bns19", 256, 256, "uniform"):
             "2f5484b4e3ee08e40f7b7ebfe0c6e5a4b74b08c07d453e2fe9fa12b7c7e5240b",
         ("sample_one", 1024, 64, "exactly_k"):
-            "46e634b3d65052e04e3f3d0e47f276ad35ac2fbead507de26623d02ec974ddbf",
+            "340f511e888fa7d6e05858d295d2a777c2c183b59907e80899717897a35337c7",
         ("futurerand", 1024, 64, "bursty"):
             "3bddbce05c2fae71daae460d1d6f1dce5f9e70f058ee4b8612869d89715ef467",
     },
@@ -276,15 +278,15 @@ _OUTPUT_SHA256 = {
         ("naive", 256, 256, "uniform"):
             "1686296eeda9c0a4f65447705319a3845eb0b6beb99aeab237a238ca38cd5712",
         ("sample_one", 1024, 64, "uniform"):
-            "dbb07481372acc3b234b0811f6d01f9828dff436eb545adc8e8b71dcb4e56894",
+            "ff2cef66ae0f1937d45d90449ff8b8a317d658c5aa0a6b90bc8f6b8e9b204618",
         ("sample_one", 256, 256, "uniform"):
-            "8e38f8e4f68f7d8a7f7f6a135a069e9b4f87626727300f5837eca83d8520aead",
+            "cec2e2b964a6aa3c954accb1774b81126f7a1c7ee866df6c360aecf9fc3ae78a",
         ("bns19", 1024, 64, "uniform"):
             "7176a2ab3c21e2f2e587b3f084b088ba9daeef0c389a920198896031fe783f5c",
         ("bns19", 256, 256, "uniform"):
             "46585e36a05d7d245c6fbf26875d37510d82afb852a39ad942870dfcfedba452",
         ("sample_one", 1024, 64, "exactly_k"):
-            "282851607dbb340a5a263d60c67d3e1a7e0a82088752ab9f486f7085af5ed89d",
+            "37ab7295b7b7006f4f17afa288546f4c50d4a63b3637333ccf6c6f69a0e7461b",
         ("futurerand", 1024, 64, "bursty"):
             "eca2a143051200a04ee34d9e24c7dd976032ab8a67fda3d29d5d679aa74d7466",
     },

@@ -249,10 +249,11 @@ def test_reference_runner_deterministic_and_round_trip(tmp_path):
 
 # SHA-256 of the estimates and report rows of run_reference, as computed by
 # per-user clients driving server_init/server_register/server_step directly
+# (sample-one's since its noise comes from its one-coordinate randomizer)
 _REFERENCE_SHA256 = {
     "futurerand": "79edb85e65b615bf42ac801e9b9e6301ecd8b3e33f0bd9a05dcf388592d57803",
     "naive": "2514513dedf8a4a6fb964f7732cdaa8190d3abb4508dbc379314998be08efa62",
-    "sample_one": "46f9241317630f6079b842cd54c32bdfcdf261af1e318c1e7235c5428fc9d57d",
+    "sample_one": "b860a7094171d4bf7b61f2294a8808971541b395bbc65bf32b97e255858c4191",
     "bns19": "efde2e6a8cff332f0a0047430ff869b8bcd04f8d7800cf1854c76f59e8cf7013",
 }
 
@@ -300,6 +301,12 @@ def test_scaling_study_checks_every_cell_before_running_one(monkeypatch):
     base = ExperimentSpec(n=10, d=8, k=2, eps=1.0, beta=0.1)
     with pytest.raises(ValueError, match="k=16 exceeds horizon d=8"):
         scaling_study(base, [2, 16], ["futurerand"])
+    # a bad algorithm or eps fails its config before the valid cells before it run
+    with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+        scaling_study(base, [2, 4], ["naive", "bogus"])
+    base = ExperimentSpec(n=10, d=8, k=2, eps=1.5, beta=0.1)
+    with pytest.raises(ValueError, match="eps=1.5 outside"):
+        scaling_study(base, [2, 4], ["naive", "futurerand"])
 
 
 def test_a_run_and_its_certificate_build_no_prefix_masses():

@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 
 from ldptrack import baselines, randomizer
 from ldptrack.audit import audit_randomizer
-from ldptrack.baselines import ALGORITHMS, algorithm_config, client_randomizer
+from ldptrack.baselines import ALGORITHMS, algorithm_config
 from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.randomizer import (RandomizerConfig, complement_distances,
                                  exact_output_distribution,
@@ -63,10 +63,9 @@ def _derived_grid():
         for k in (1, 2, 3, 8, 64, 256):
             for eps in (0.25, 0.5, 1.0):
                 try:
-                    alg = algorithm_config(algo, k, eps)
+                    yield algorithm_config(algo, k, eps).randomizer
                 except ConfigError:
                     continue
-                yield from {alg.randomizer, client_randomizer(alg)}
     yield _build_config(1.0, 4, mpf("0.1"), mpf(2), mpf(4))
     yield _build_config(1.0, 8, mpf("0.05"), mpf(2), mpf(4))
 
@@ -110,7 +109,7 @@ def test_exact_readers_share_one_distance_law(algo, k, monkeypatch):
     cfg.prefix_masses
     audit_randomizer(cfg)
     if k <= randomizer.ENUMERATION_K:
-        exact_output_distribution(ONES(k), cfg)
+        exact_output_distribution(ONES(cfg.k), cfg)
     assert len(calls) == cfg.k + 1
     gap_lower_bound_expr(cfg)
     assert len(calls) <= cfg.k + 2
