@@ -7,11 +7,12 @@ form; values stay in extended precision end to end and reports carry
 concrete witnesses.  The client's worst ratio over all stream pairs is that
 same randomizer ratio (audit_client_certificate), checked against an exact
 oracle that lists no full output: audit_client on one pair at any d, and
-audit_client_sweep over the streams of d <= 16, both at k <= 4.  A pair's
-worst ratio at an order is a function of its overlap signature (plain
-clients) or of the output patterns on the windows its changes touch
-(sample-one), computed once per distinct signature in a call.  Floats only screen:
-exact ratios are compared within a relative 1e-9 of the float maximum, beyond rounding.
+audit_client_sweep over the streams of d <= 16, both at k <= 4.  For every
+algorithm, sample-one included, a stream's value at an output depends only
+on its non-zero window sums and the output's mismatches with them, so a
+pair's worst ratio at an order is a function of its overlap signature,
+computed once per distinct signature in a call.  Floats only screen: exact
+ratios are compared within a relative 1e-9 of the float maximum, beyond rounding.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import CapacityError
 from .randomizer import RandomizerConfig, exact_output_distribution  # noqa: F401
 
 CLIENT_AUDIT_D = 16   # enumerate_streams lists sum_{m <= k} C(d, m) series
-CLIENT_AUDIT_K = 4    # sample-one enumerates up to 2^(2k) output patterns per pair
+CLIENT_AUDIT_K = 4    # bounds the O(k^4) cells per signature and the witness's 2^(2k) patterns
 
 RATIO_SLACK = mpf("1e-9")  # absorbs extended-precision rounding on the e^eps test
 
@@ -93,71 +94,42 @@ def audit_randomizer(cfg: RandomizerConfig) -> AuditReport:
 # client-level audit
 
 
-def _window_sums(changes: list[tuple[int, int]], h: int) -> list[tuple[int, int]]:
-    """(window, sum) of the order-h windows with a non-zero sum, by window.
-
-    ``changes`` holds (time, delta) pairs in time order; window w (from 0)
-    covers the times (w 2^h, (w + 1) 2^h].
-    """
-    sums: dict[int, int] = {}
-    for c, v in changes:
-        w = (c - 1) >> h
-        sums[w] = sums.get(w, 0) + v
-    return [(w, s) for w, s in sums.items() if s]
-
-
-def _changes(alg: AlgorithmConfig, d: int, stream: DerivativeStream) -> list[tuple[int, int]]:
-    """(time, delta) of each change of a stream the client can run on."""
-    if stream.horizon != d:
-        raise ValueError(f"stream horizon {stream.horizon} != d={d}")
-    changes = [(c, stream.entries[c - 1]) for c in stream.change_times()]
-    if len(changes) > alg.k:
-        raise ValueError(f"stream has {len(changes)} changes, above k={alg.k}")
-    return changes
-
-
-def _units(alg: AlgorithmConfig, changes: list[tuple[int, int]], h: int) -> list[tuple[int, int]]:
-    """(window, sign) of each unit whose mismatch with an order-h output sets
-    the stream's probability: its non-zero window sums, or for sample-one
-    the window and delta of each change, in time order."""
-    if alg.keep_one:
-        return [((c - 1) >> h, v) for c, v in changes]
-    return _window_sums(changes, h)
-
-
-def _terms(alg: AlgorithmConfig, units: list, mismatches: list[int]) -> tuple:
+def _terms(alg: AlgorithmConfig, m: int, j: int) -> tuple:
     """A stream's probability at an order-h output over L windows, as the sum
-    of num / den (1 + log2 d)^-1 2^-(L - m) masses[m][j] over its terms
-    (num, den, m, j), one per variant of the client: the client itself, or
-    for sample-one the client on each change kept (weight 1/k each) and on
-    none (the rest).  m counts the variant's non-zero window sums, j the
-    output's mismatches with them; the other windows report fair coins."""
+    of num / den (1 + log2 d)^-1 2^-(L - m') masses[m'][j'] over its terms
+    (num, den, m', j'), one per variant of the client, given the stream's m
+    non-zero window sums and the output's j mismatches with them.  A plain
+    client is its own one variant.  Sample-one is the client on the change
+    kept in a uniform slot (weight 1/k each) or on none (the rest).  The
+    changes inside one window alternate in sign and sum to the window's sum,
+    so the kept change is the window's one non-zero sum when that sum is
+    non-zero, and a cancelling (+1, -1) pair weighs 2^-(L-1) (masses[1][0] +
+    masses[1][1]) / k = 2^(1-L) / k, as two empty slots do: m kept changes,
+    the j mismatched ones last, and k - m empty slots."""
     if alg.keep_one:
-        return tuple((1, alg.k, 1, j) for j in mismatches) + ((alg.k - len(units), alg.k, 0, 0),)
-    return ((1, 1, len(units), sum(mismatches)),)
+        return ((1, alg.k, 1, 0),) * (m - j) + ((1, alg.k, 1, 1),) * j + ((alg.k - m, alg.k, 0, 0),)
+    return ((1, 1, m, j),)
 
 
-def _pattern_cells(alg: AlgorithmConfig, h: int, pair_changes: list,
-                   value_id) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """The windows either stream of a pair touches at order h, and the first
-    output pattern on them of each distinct pair of the streams' value ids.
+def _pattern_cells(rows: np.ndarray, value_id) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """The windows where either of a pair's order-h window-sum rows is non-zero,
+    and the first output pattern on them of each distinct pair of the streams' value ids.
 
     Pattern r sets window touched[i] to +1 where bit len(touched) - 1 - i of
     r is set, so r counts up in itertools.product order over the windows
-    ascending, -1 first.  A stream's value depends on r only through the
-    bits of its own windows, so each word r & mask gets one value id; r is
-    visited in ascending order, so a cell keeps the first r that reaches it.
+    ascending, -1 first.  A stream's mismatches with r are the set bits of
+    (r ^ plus) & mask, mask its non-zero windows and plus its positive ones;
+    r is visited in ascending order, so a cell keeps the first r that reaches it.
     """
-    units = [_units(alg, changes, h) for changes in pair_changes]
-    touched = sorted({w for part in units for w, _ in part})
-    shift = {w: len(touched) - 1 - i for i, w in enumerate(touched)}
-    masks = [sum({1 << shift[w] for w, _ in part}) for part in units]
-    patterns = range(1 << len(touched))
-    ids = [{word: value_id(_terms(alg, part, [(word >> shift[w] & 1) ^ (s > 0) for w, s in part]))
-            for word in {r & mask for r in patterns}} for part, mask in zip(units, masks)]
+    touched = np.flatnonzero(rows.any(axis=0)).tolist()
+    bits = [1 << len(touched) - 1 - i for i in range(len(touched))]
+    signs = [row[touched].tolist() for row in rows]
+    masks = [sum(b for b, s in zip(bits, row) if s) for row in signs]
+    plus = [sum(b for b, s in zip(bits, row) if s > 0) for row in signs]
     cells: dict[tuple[int, int], int] = {}
-    for r in patterns:
-        cells.setdefault((ids[0][r & masks[0]], ids[1][r & masks[1]]), r)
+    for r in range(1 << len(touched)):
+        cells.setdefault(tuple(value_id(mask.bit_count(), ((r ^ p) & mask).bit_count())
+                               for mask, p in zip(masks, plus)), r)
     return touched, cells
 
 
@@ -180,13 +152,13 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
                   streams: list[DerivativeStream], index_pairs) -> AuditReport:
     """Worst ratio over the (h, omega) keys of the given stream pairs.
 
-    Each (pair, order) gets a code that fixes the value pairs its outputs
-    reach.  A plain client's is its overlap signature (m_a, m_b, agree,
-    disagree): m counts a stream's non-zero window sums, agree the windows
-    both touch with equal sums and disagree those with opposite sums; an
-    output's mismatches are j_a = x + y + u and j_b = x + (disagree - y) + v
-    over the agreeing, disagreeing and own windows.  Sample-one's is the
-    rank of each change's window among both streams' change windows.
+    A stream's value at an order-h output is a function of its m non-zero
+    window sums and the output's j mismatches with them (_terms), for every
+    algorithm.  So each (pair, order) gets its overlap signature (m_a, m_b,
+    agree, disagree) as a code: agree counts the windows both streams touch
+    with equal sums and disagree those with opposite sums, and an output's
+    mismatches are j_a = x + y + u and j_b = x + (disagree - y) + v over the
+    agreeing, disagreeing and own windows.
     Values are taken at order 0: an order-h value is exactly 2^(d - L) times
     that, a power of two that mpf arithmetic scales by without rounding, so
     no ratio depends on h.  Each value's float, 2^d times it, lies in
@@ -197,33 +169,27 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
     float ratio is within ~3 2^-53 of its mpf one, so a maximal cell always
     passes.  The witness is the first pair, in index_pairs order, that attains
     the maximum, at its first such order and the first output in
-    itertools.product order: -1 on every window no change touches.
+    itertools.product order: -1 on every window neither stream's sums touch.
     """
     used, slots = np.unique(np.asarray(index_pairs), return_inverse=True)
     pairs = slots.reshape(-1, 2)
-    changes = [_changes(alg, d, streams[i]) for i in used]
+    for i in used:
+        if streams[i].horizon != d:
+            raise ValueError(f"stream horizon {streams[i].horizon} != d={d}")
     k, num_orders = alg.k, d.bit_length()
+    sums = np.array([streams[i].entries for i in used], dtype=np.int8)
+    changes = np.count_nonzero(sums, axis=1)
+    if changes.max() > k:
+        raise ValueError(f"stream has {changes[changes > k][0]} changes, above k={k}")
     masses = alg.randomizer.prefix_masses
     values: list[mpf] = []
     scaled: list[float] = []  # each value times 2^d, a normal float
     value_ids: dict[mpf, int] = {}
 
     @functools.cache
-    def base(num: int, den: int, m: int) -> mpf:
-        return mpf(num) / den / num_orders * mpf(2) ** (-(d - m))
-
-    @functools.cache
-    def term(num: int, den: int, m: int, j: int) -> mpf:
-        return base(num, den, m) * masses[m][j]
-
-    @functools.cache
-    def partial_sum(terms: tuple) -> mpf | int:
-        # sum() of the terms, left to right: each prefix is added once
-        return partial_sum(terms[:-1]) + term(*terms[-1]) if terms else 0
-
-    @functools.cache
-    def value_id(terms: tuple) -> int:
-        v = partial_sum(terms)
+    def value_id(m: int, j: int) -> int:
+        v = sum(mpf(num) / den / num_orders * mpf(2) ** (m_v - d) * masses[m_v][j_v]
+                for num, den, m_v, j_v in _terms(alg, m, j))
         if v not in value_ids:
             value_ids[v] = len(values)
             values.append(v)
@@ -240,49 +206,29 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
         return a / b if a > b else b / a
 
     codes = np.empty((len(pairs), num_orders), dtype=np.int64)
-    if alg.keep_one:
-        times = np.zeros((len(changes), k), dtype=np.int64)
-        for row, kept in enumerate(changes):
-            times[row, :len(kept)] = [c for c, _ in kept]
-        both = np.concatenate([times[pairs[:, 0]], times[pairs[:, 1]]], axis=1)
-        for h in range(num_orders):
-            windows = np.where(both > 0, (both - 1) >> h, d)
-            order = np.argsort(windows, axis=1)
-            ranked = np.take_along_axis(windows, order, axis=1)
-            rank = np.empty_like(ranked)
-            np.put_along_axis(rank, order, np.cumsum(np.diff(ranked, axis=1, prepend=-1) != 0, axis=1),
-                              axis=1)
-            code = np.zeros(len(pairs), dtype=np.int64)
-            for col in np.where(both > 0, rank, 0).T:
-                code = code * (2 * k + 1) + col
-            codes[:, h] = code
-    else:
-        sums = np.array([streams[i].entries for i in used], dtype=np.int8)
-        for h in range(num_orders):
-            m = np.count_nonzero(sums, axis=1)
-            prod = sums[pairs[:, 0]] * sums[pairs[:, 1]]
-            code = np.zeros(len(pairs), dtype=np.int64)
-            for col in (m[pairs[:, 0]], m[pairs[:, 1]], np.count_nonzero(prod > 0, axis=1),
-                        np.count_nonzero(prod < 0, axis=1)):
-                code = code * (k + 1) + col
-            codes[:, h] = code
-            sums = sums[:, ::2] + sums[:, 1::2]
+    levels = []  # the order-h window sums of each used stream
+    for h in range(num_orders):
+        levels.append(sums)
+        m = np.count_nonzero(sums, axis=1)
+        prod = sums[pairs[:, 0]] * sums[pairs[:, 1]]
+        code = np.zeros(len(pairs), dtype=np.int64)
+        for col in (m[pairs[:, 0]], m[pairs[:, 1]], np.count_nonzero(prod > 0, axis=1),
+                    np.count_nonzero(prod < 0, axis=1)):
+            code = code * (k + 1) + col
+        codes[:, h] = code
+        sums = sums[:, ::2] + sums[:, 1::2]
 
-    distinct, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+    distinct, inverse = np.unique(codes.ravel(), return_inverse=True)
     code_cells, screened = [], []
-    for code, at in zip(distinct.tolist(), first.tolist()):
-        pair, h = divmod(at, num_orders)
-        if alg.keep_one:
-            cells = _pattern_cells(alg, h, [changes[s] for s in pairs[pair]], value_id)[1]
-        else:
-            code, disagree = divmod(code, k + 1)
-            code, agree = divmod(code, k + 1)
-            m_a, m_b = divmod(code, k + 1)
-            ids_a, ids_b = ([value_id(((1, 1, m, j),)) for j in range(m + 1)] for m in (m_a, m_b))
-            own_a, own_b = m_a - agree - disagree, m_b - agree - disagree
-            cells = {(ids_a[x + y + u], ids_b[x + disagree - y + v])
-                     for x in range(agree + 1) for y in range(disagree + 1)
-                     for u in range(own_a + 1) for v in range(own_b + 1)}
+    for code in distinct.tolist():
+        code, disagree = divmod(code, k + 1)
+        code, agree = divmod(code, k + 1)
+        m_a, m_b = divmod(code, k + 1)
+        ids_a, ids_b = ([value_id(m, j) for j in range(m + 1)] for m in (m_a, m_b))
+        own_a, own_b = m_a - agree - disagree, m_b - agree - disagree
+        cells = {(ids_a[x + y + u], ids_b[x + disagree - y + v])
+                 for x in range(agree + 1) for y in range(disagree + 1)
+                 for u in range(own_a + 1) for v in range(own_b + 1)}
         code_cells.append(cells)
         screened.append(max(itertools.starmap(screen, cells)))
     edge = max(screened) * (1 - 1e-9)
@@ -291,7 +237,7 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
     top = max(exact.values())
     attains = np.array([i in exact and exact[i] == top for i in range(len(code_cells))])
     pair, h = divmod(int(attains[inverse].argmax()), num_orders)
-    touched, cells = _pattern_cells(alg, h, [changes[s] for s in pairs[pair]], value_id)
+    touched, cells = _pattern_cells(levels[h][pairs[pair]], value_id)
     row = min(r for cell, r in cells.items() if screen(*cell) >= edge and ratio(*cell) == top)
     output = [-1] * (d >> h)
     for i, w in enumerate(touched):

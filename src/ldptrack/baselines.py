@@ -96,7 +96,7 @@ def algorithm_config(tag: str, k: int, eps: float,
       eps = 6 eps_tilde sqrt(k ln(1/lambda)) holds identically.  Requires
       eps <= 1 and lambda < (eps_tilde sqrt(k) / (2(k+1)))^(2/3).
     """
-    if not isinstance(k, numbers.Integral):
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ConfigError(f"k={k!r} must be an integer")
     if L is not None and k > L:
         raise ConfigError(f"need k <= L, got k={k}, L={L}")

@@ -10,8 +10,20 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
-from ldptrack.audit import _window_sums
 from ldptrack.dyadic import derive
+
+
+def _window_sums(changes, h):
+    """(window, sum) of the order-h windows with a non-zero sum, by window.
+
+    ``changes`` holds (time, delta) pairs in time order; window w (from 0)
+    covers the times (w 2^h, (w + 1) 2^h].
+    """
+    sums = {}
+    for c, v in changes:
+        w = (c - 1) >> h
+        sums[w] = sums.get(w, 0) + v
+    return [(w, s) for w, s in sums.items() if s]
 
 
 def client_law(alg, d, stream):

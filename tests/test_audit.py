@@ -156,6 +156,36 @@ def test_class_pair_ratio_equals_per_key_reference(algo):
         assert max(va / vb, vb / va) == report.max_ratio
 
 
+def test_sample_one_value_is_set_by_the_plain_clients_counts():
+    # sample-one's value at an order-h output over L windows is
+    # (1 + log2 d)^-1 2^-L (1 + (gap / k)(m - 2j)), m the stream's non-zero
+    # window sums and j the output's mismatches with them, as for a plain client
+    for d, k in ((4, 2), (8, 3)):
+        alg = algorithm_config("sample_one", k, 1.0, L=d)
+        for stream in enumerate_streams(d, k):
+            for (h, omega), value in client_law(alg, d, stream).items():
+                sums = [sum(stream.entries[w << h:(w + 1) << h]) for w in range(len(omega))]
+                m = sum(s != 0 for s in sums)
+                j = sum(s != 0 and o != s for o, s in zip(omega, sums))
+                expected = ((1 + alg.gap / k * (m - 2 * j)) / d.bit_length()
+                            * mpf(2) ** -len(omega))
+                assert abs(value - expected) <= mpf("1e-45") * expected, (
+                    d, k, stream.entries, h, omega)
+
+
+def test_sample_one_cancelling_pair_weighs_as_two_empty_slots():
+    # changes at t = 3 and 4 share their order-1 window, where they cancel:
+    # only order 0 separates the pair from the zero stream, at two mismatches
+    a = DerivativeStream((0, 0, 1, -1, 0, 0, 0, 0), 3)
+    zero = DerivativeStream((0,) * 8, 3)
+    report = audit_client(8, 3, 1.0, a, zero, "sample_one")
+    gap = mp.tanh(mpf(1) / 4)
+    expected = 1 / (1 - 2 * gap / 3)
+    assert abs(report.max_ratio - expected) <= mpf("1e-45") * expected
+    assert report.worst_case["order"] == 0
+    assert report.worst_case["output"] == [-1, -1, -1, 1, -1, -1, -1, -1]
+
+
 def test_sampled_sweep_compares_few_exact_ratios(monkeypatch):
     # only cells whose float ratio is within 1e-9 of the float maximum are
     # compared as mpf ratios; a sweep that compares every cell makes 306 and 72
@@ -232,7 +262,7 @@ def test_audit_client_example_pair():
 
 
 def test_audit_client_capacity():
-    # only the 2^d stream walk and sample-one's 2^(2k) patterns are bounded
+    # only the 2^d stream walk, the O(k^4) cell grid and the witness's 2^(2k) patterns are bounded
     with pytest.raises(CapacityError, match="d=32"):
         audit_client_sweep(32, 2, 1.0)
     with pytest.raises(CapacityError, match="d=32"):

@@ -207,7 +207,8 @@ def test_a_config_error_is_never_cached():
     bad = [("nope", 4, 1.0, None), ("futurerand", 0, 1.0, None), ("naive", 4, 0.0, None),
            ("sample_one", 4, -1.0, None), ("futurerand", 4, 1.5, None), ("bns19", 4, 1.5, None),
            ("naive", 5, 1.0, 4), ("naive", 4, "1", None), ("naive", 4, None, None),
-           ("naive", 4.0, 1.0, None), ("naive", "4", 1.0, None), ("naive", None, 1.0, None)]
+           ("naive", 4.0, 1.0, None), ("naive", "4", 1.0, None), ("naive", None, 1.0, None),
+           ("naive", True, 1.0, None)]
     for _ in range(2):
         for tag, k, eps, L in bad:
             with pytest.raises(ConfigError):

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldptrack.audit import _window_sums
 from ldptrack.dyadic import DerivativeStream, decompose, derive
 
+from oracles import _window_sums
 from oracles import boolean_series as series_of
 
 
