@@ -173,14 +173,13 @@ def _worst_report(eps: float, alg: AlgorithmConfig, d: int,
     """
     used, slots = np.unique(np.asarray(index_pairs), return_inverse=True)
     pairs = slots.reshape(-1, 2)
-    for i in used:
-        if streams[i].horizon != d:
-            raise ValueError(f"stream horizon {streams[i].horizon} != d={d}")
     k, num_orders = alg.k, d.bit_length()
+    for i in used:
+        if streams[i].d != d:
+            raise ValueError(f"stream horizon {streams[i].d} != d={d}")
+        if len(streams[i].change_times) > k:
+            raise ValueError(f"stream has {len(streams[i].change_times)} changes, above k={k}")
     sums = np.array([streams[i].entries for i in used], dtype=np.int8)
-    changes = np.count_nonzero(sums, axis=1)
-    if changes.max() > k:
-        raise ValueError(f"stream has {changes[changes > k][0]} changes, above k={k}")
     masses = alg.randomizer.prefix_masses
     values: list[mpf] = []
     scaled: list[float] = []  # each value times 2^d, a normal float
@@ -253,10 +252,9 @@ def enumerate_streams(d: int, k: int) -> tuple[DerivativeStream, ...]:
     the numeric order of a series read as d bits: the XOR of its changes' suffix masks."""
     if d > CLIENT_AUDIT_D:
         raise CapacityError(f"d={d} above stream enumeration bound {CLIENT_AUDIT_D}")
-    keys = sorted(functools.reduce(int.__xor__, ((1 << d - c) - 1 for c in changes), 0)
-                  for m in range(k + 1) for changes in itertools.combinations(range(d), m))
-    series = [tuple(map(int, f"{key:0{d}b}")) for key in keys]
-    return tuple(DerivativeStream(tuple(map(int.__sub__, s, (0,) + s[:-1])), k) for s in series)
+    times = [c for m in range(k + 1) for c in itertools.combinations(range(1, d + 1), m)]
+    times.sort(key=lambda c: functools.reduce(int.__xor__, ((1 << d + 1 - t) - 1 for t in c), 0))
+    return tuple(DerivativeStream(c, d, k) for c in times)
 
 
 def _draw_pairs(n: int, pairs: int, rng: np.random.Generator) -> np.ndarray:

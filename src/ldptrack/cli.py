@@ -54,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write JSON summary here (per-t CSV lands beside it)")
     sim.add_argument("--change-model", choices=CHANGE_MODELS, default="uniform")
     sim.add_argument("--dump-reports", type=str, default=None,
-                     help="write the first repetition's raw report records (NDJSON)")
+                     help="write the first repetition's raw report records (NDJSON); that "
+                          "repetition is then drawn in report mode, so its max_err, the summary "
+                          "and the --out CSV differ from a run of the same seed without this flag")
 
     aud = sub.add_parser("audit", help="exact privacy audits")
     aud_sub = aud.add_subparsers(dest="target", required=True)

@@ -3,12 +3,13 @@
 Time steps are 1-indexed and the horizon ``d`` is a power of two.  A
 dyadic window is an int pair (h, j): the time steps ((j-1) 2^h, j 2^h],
 order h and 1-based index j among the d / 2^h windows of that order.  A
-user's Boolean series is handled through its step-to-step differences,
-which are sparse when the value changes rarely.
+user's Boolean series is held as its change times, the steps where its
+value flips, which are few when the value changes rarely.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,55 +33,39 @@ def _check_horizon(d: int) -> None:
 
 @dataclass(frozen=True)
 class DerivativeStream:
-    """Per-step differences of one user's Boolean series.
+    """A user's Boolean series on [1, d], starting at 0, held as its at most ``k``
+    strictly increasing ``change_times``: its derivative, ``entries`` at t = 1..d,
+    is +1 at the odd-numbered changes, -1 at the even ones and 0 elsewhere."""
 
-    Entries live in {-1, 0, +1}, at most ``k`` of them are non-zero, and
-    every prefix sum is 0 or 1 (the underlying Boolean value).
-    """
-
-    entries: tuple[int, ...]
+    change_times: tuple[int, ...]
+    d: int
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("sparsity bound k must be >= 0")
-        nnz = 0
-        prefix = 0
-        for t, e in enumerate(self.entries, start=1):
-            if e not in (-1, 0, 1):
-                raise ValueError(f"entry at t={t} is {e}, expected -1, 0 or 1")
-            nnz += e != 0
-            prefix += e
-            if prefix not in (0, 1):
-                raise ValueError(f"prefix sum at t={t} is {prefix}, expected 0 or 1")
-        if nnz > self.k:
-            raise ValueError(f"{nnz} non-zero entries exceed sparsity bound k={self.k}")
+        times = self.change_times
+        if len(times) > self.k:
+            raise ValueError(f"{len(times)} changes exceed sparsity bound k={self.k}")
+        if any(a >= b for a, b in zip((0, *times), (*times, self.d + 1))):
+            raise ValueError(f"change times {times} not strictly increasing in [1, {self.d}]")
 
-    @property
-    def horizon(self) -> int:
-        return len(self.entries)
-
-    def change_times(self) -> tuple[int, ...]:
-        return tuple(t for t, e in enumerate(self.entries, start=1) if e != 0)
+    @functools.cached_property
+    def entries(self) -> tuple[int, ...]:
+        out = [0] * self.d
+        for i, t in enumerate(self.change_times):
+            out[t - 1] = -1 if i & 1 else 1
+        return tuple(out)
 
 
 def derive(boolean_series: Sequence[int], k: int | None = None) -> DerivativeStream:
-    """Differences of a Boolean series, with the value before time 1 taken as 0.
+    """The change times of a Boolean series, with the value before time 1 taken as 0.
 
     ``k`` defaults to the number of changes actually present.
     """
-    if len(boolean_series) < 1:
-        raise ValueError("series must have length >= 1")
-    entries = []
-    prev = 0
-    for t, x in enumerate(boolean_series, start=1):
-        if x not in (0, 1):
-            raise ValueError(f"value at t={t} is {x}, expected 0 or 1")
-        entries.append(x - prev)
-        prev = x
-    if k is None:
-        k = sum(e != 0 for e in entries)
-    return DerivativeStream(entries=tuple(entries), k=k)
+    if len(boolean_series) < 1 or not set(boolean_series) <= {0, 1}:
+        raise ValueError(f"series {boolean_series!r} must be non-empty and hold only 0 and 1")
+    times = tuple(t for t, (prev, x) in enumerate(zip((0, *boolean_series), boolean_series), 1)
+                  if x != prev)
+    return DerivativeStream(times, len(boolean_series), len(times) if k is None else k)
 
 
 def decompose(t: int, d: int) -> list[tuple[int, int]]:

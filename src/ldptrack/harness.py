@@ -32,7 +32,6 @@ __all__ = [
     "ScalingCell",
     "ScalingStudy",
     "gen_population",
-    "streams_from_changes",
     "run_experiment",
     "run_reference",
     "scaling_study",
@@ -89,24 +88,13 @@ def regime_ok(n: int, d: int, k: int, eps: float, beta: float) -> bool:
 # population generation
 
 
-def streams_from_changes(counts: np.ndarray, times: np.ndarray,
-                         d: int, k: int) -> list[DerivativeStream]:
-    streams = []
-    for u in range(len(counts)):
-        entries = [0] * d
-        sign = 1
-        for c in range(int(counts[u])):
-            entries[int(times[u, c]) - 1] = sign
-            sign = -sign
-        streams.append(DerivativeStream(entries=tuple(entries), k=k))
-    return streams
-
-
 def gen_population(n: int, d: int, k: int, change_model: str,
                    rng: np.random.Generator) -> tuple[list[DerivativeStream], np.ndarray]:
     """Random population of derivative streams plus its exact int64 truth series."""
     counts, times = sample_changes(n, d, k, change_model, rng)
-    return streams_from_changes(counts, times, d, k), truth_from_changes(counts, times, d)
+    streams = [DerivativeStream(tuple(row[:c]), d, k)
+               for c, row in zip(counts.tolist(), times.tolist())]
+    return streams, truth_from_changes(counts, times, d)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +203,7 @@ def run_reference(streams: list[DerivativeStream], alg: AlgorithmConfig,
                   d: int, seed: int = 0,
                   rep: int = 0) -> tuple[tuple[float, ...], ReportBatch]:
     """Reference path: per-user online clients, their reports replayed by the server."""
-    clients = [client_init(alg, d, substream(seed, rep, 1000, uid), stream.change_times())
+    clients = [client_init(alg, d, substream(seed, rep, 1000, uid), stream.change_times)
                for uid, stream in enumerate(streams)]
     rows = [(uid, state.h, t, bit)
             for t in range(1, d + 1)

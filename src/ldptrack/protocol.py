@@ -253,6 +253,12 @@ _LINE = '{"user": %d, "h": %d, "t": %d, "bit": %d}\n'
 _WRITE_ROWS = 1 << 14
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    if len(obj := dict(pairs)) != len(pairs):
+        raise ValueError(f"a JSON object repeats a key: {pairs!r}")
+    return obj
+
+
 @dataclass(slots=True)
 class ReportRecord:
     user: int
@@ -262,7 +268,7 @@ class ReportRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ReportRecord":
-        obj = json.loads(line)
+        obj = json.loads(line, object_pairs_hook=_unique_keys)
         if type(obj) is not dict or obj.keys() != {"user", "h", "t", "bit"}:
             raise ValueError(f"not a JSON object of user, h, t, bit: {obj!r}")
         for key, v in obj.items():

@@ -1,6 +1,6 @@
 """Test-only oracles and statistics: the full client output law in closed
 form, the stream walk over all 2^d Boolean series, a chi-square tester, and
-the Boolean series of a derivative stream."""
+the conversions between a derivative stream and its Boolean series."""
 
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ def client_law(alg, d, stream):
     """
     masses = alg.randomizer.prefix_masses
     num_orders = d.bit_length()
-    changes = [(c, stream.entries[c - 1]) for c in stream.change_times()]
+    changes = [(c, stream.entries[c - 1]) for c in stream.change_times]
     if alg.keep_one:
         variants = [((1, alg.k), [ch]) for ch in changes]
         variants.append(((alg.k - len(changes), alg.k), []))
@@ -78,6 +78,12 @@ def streams_by_product(d, k):
 def boolean_series(stream) -> tuple[int, ...]:
     """Reconstruct a derivative stream's Boolean values by prefix summation."""
     return tuple(itertools.accumulate(stream.entries))
+
+
+def stream_of(entries, k):
+    """The stream whose derivative is ``entries``, as an audit witness lists it;
+    derive checks that every prefix sum is 0 or 1."""
+    return derive(tuple(itertools.accumulate(entries)), k=k)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from ldptrack.errors import CapacityError, ConfigError
 from ldptrack.protocol import ClientState, client_init, client_step
 from ldptrack.randomizer import _build_config, exact_output_distribution
 
-from oracles import chi_square, client_law, streams_by_product
+from oracles import chi_square, client_law, stream_of, streams_by_product
 
 
 def test_audit_plain_rr_ratio_is_exactly_e_eps_tilde():
@@ -176,8 +176,8 @@ def test_sample_one_value_is_set_by_the_plain_clients_counts():
 def test_sample_one_cancelling_pair_weighs_as_two_empty_slots():
     # changes at t = 3 and 4 share their order-1 window, where they cancel:
     # only order 0 separates the pair from the zero stream, at two mismatches
-    a = DerivativeStream((0, 0, 1, -1, 0, 0, 0, 0), 3)
-    zero = DerivativeStream((0,) * 8, 3)
+    a = DerivativeStream((3, 4), 8, 3)
+    zero = DerivativeStream((), 8, 3)
     report = audit_client(8, 3, 1.0, a, zero, "sample_one")
     gap = mp.tanh(mpf(1) / 4)
     expected = 1 / (1 - 2 * gap / 3)
@@ -361,7 +361,7 @@ def test_client_certificate_witness_attains_it(algo):
         for eps in (0.5, 1.0):
             report = audit_client_certificate(d, k, eps, algorithm=algo)
             w = report.worst_case
-            a, b = (DerivativeStream(tuple(w[key]), k) for key in ("stream", "stream_alt"))
+            a, b = (stream_of(w[key], k) for key in ("stream", "stream_alt"))
             alg = algorithm_config(algo, k, eps, L=d)
             key = (w["order"], tuple(w["output"]))
             ratio = client_law(alg, d, a)[key] / client_law(alg, d, b)[key]
@@ -381,17 +381,15 @@ def test_exhaustive_sweep_at_d16_equals_the_certificate(algo):
     assert abs(swept.max_ratio - cert) <= mpf("1e-40") * cert
     assert elapsed < 10, f"exhaustive (16, 3) sweep took {elapsed:.1f}s"
     w = swept.worst_case
-    a, b = (DerivativeStream(tuple(w[key]), 3) for key in ("stream", "stream_alt"))
+    a, b = (stream_of(w[key], 3) for key in ("stream", "stream_alt"))
     alone = audit_client(16, 3, 1.0, a, b, algo)
     assert alone.max_ratio == swept.max_ratio and alone.worst_case == w
 
 
 def _alternating_stream(rng, d, k):
-    """Uniform count of changes in [0, k] at uniform distinct times, alternating +1, -1."""
-    entries = [0] * d
-    for i, t in enumerate(np.sort(rng.choice(d, size=rng.integers(0, k + 1), replace=False))):
-        entries[t] = 1 - 2 * (i % 2)
-    return DerivativeStream(tuple(entries), k)
+    """Uniform count of changes in [0, k] at uniform distinct times."""
+    times = np.sort(rng.choice(d, size=rng.integers(0, k + 1), replace=False)) + 1
+    return DerivativeStream(tuple(times.tolist()), d, k)
 
 
 def test_audit_client_never_exceeds_the_certificate_at_experiment_size():
@@ -404,7 +402,7 @@ def test_audit_client_never_exceeds_the_certificate_at_experiment_size():
         worst = max(audit_client(d, k, eps, a, b, algo).max_ratio for a, b in pairs)
         assert worst <= cert.max_ratio, (algo, worst, cert.max_ratio)
         # the certificate's witness pair attains it
-        a, b = (DerivativeStream(tuple(cert.worst_case[key]), k) for key in ("stream", "stream_alt"))
+        a, b = (stream_of(cert.worst_case[key], k) for key in ("stream", "stream_alt"))
         attained = audit_client(d, k, eps, a, b, algo).max_ratio
         if algo == "sample_one":
             assert abs(attained - cert.max_ratio) <= mpf("1e-40") * cert.max_ratio
@@ -439,7 +437,7 @@ def test_client_distribution_matches_empirical_sampler_sample_one():
     runs = 30_000
     for seed in range(runs):
         state = client_init(alg, 4, np.random.default_rng(seed),
-                            change_times=stream.change_times())
+                            change_times=stream.change_times)
         omega = tuple(b for t in range(1, 5)
                       if (b := client_step(state, t, stream.entries[t - 1])) is not None)
         counts[(state.h, omega)] += 1
@@ -467,7 +465,7 @@ def _enumerated_client_law(alg, d, stream):
     num_orders = d.bit_length()
     table = exact_output_distribution(np.ones(alg.randomizer.k, dtype=np.int8),
                                       alg.randomizer).probs
-    change_times = stream.change_times()
+    change_times = stream.change_times
     if alg.keep_one:
         slots = [(mpf(1) / k, change_times[s] if s < len(change_times) else None)
                  for s in range(k)]

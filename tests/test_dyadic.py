@@ -15,7 +15,7 @@ def _times(window):
 
 
 def _changes(ds):
-    return [(c, ds.entries[c - 1]) for c in ds.change_times()]
+    return [(c, ds.entries[c - 1]) for c in ds.change_times]
 
 
 def test_derive_example():
@@ -79,14 +79,15 @@ def test_window_sums_support_examples():
 
 
 def test_stream_invariant_validation():
-    with pytest.raises(ValueError):
-        DerivativeStream(entries=(1, 1), k=2)  # prefix sum hits 2
-    with pytest.raises(ValueError):
-        DerivativeStream(entries=(-1, 0), k=2)  # prefix sum hits -1
-    with pytest.raises(ValueError):
-        DerivativeStream(entries=(1, -1, 1, -1), k=3)  # too many changes
-    with pytest.raises(ValueError):
-        DerivativeStream(entries=(0, 2), k=2)
+    for times, k in [((2, 2), 2),        # a repeated time
+                     ((0, 3), 2),        # time 0
+                     ((1, 5), 2),        # a time above d
+                     ((3, 1), 2),        # unsorted times
+                     ((1, 2, 3, 4), 3),  # more than k times
+                     ((), -1)]:          # a negative bound
+        with pytest.raises(ValueError):
+            DerivativeStream(times, 4, k)
+    assert DerivativeStream((1, 2, 4), 4, 3).entries == (1, -1, 0, 1)
 
 
 @st.composite
@@ -98,7 +99,11 @@ def boolean_series(draw):
 
 @given(boolean_series())
 def test_derive_prefix_sum_roundtrip(series):
-    assert series_of(derive(series)) == series
+    ds = derive(series)
+    assert series_of(ds) == series
+    # the derivative alternates +1, -1 at the change times and is 0 elsewhere
+    assert [ds.entries[t - 1] for t in ds.change_times] == [(-1) ** i for i in range(ds.k)]
+    assert sum(map(abs, ds.entries)) == len(ds.change_times) == ds.k
 
 
 @given(boolean_series(), st.data())

@@ -170,10 +170,10 @@ def test_engine_reports_follow_the_audited_client_law(algo, series, monkeypatch)
     d, k, n = 8, 3, 40_000
     stream = derive(series, k=k)
     times = np.zeros(k, dtype=np.int32)
-    times[:len(stream.change_times())] = stream.change_times()
+    times[:len(stream.change_times)] = stream.change_times
 
     def one_stream(m, d, k, model, rng):
-        return np.full(m, len(stream.change_times())), np.tile(times, (m, 1))
+        return np.full(m, len(stream.change_times)), np.tile(times, (m, 1))
 
     monkeypatch.setattr(engine, "sample_changes", one_stream)
     alg = algorithm_config(algo, k, 1.0, L=d)

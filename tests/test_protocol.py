@@ -310,6 +310,9 @@ def test_report_record_rejects_bad_payload():
         ReportRecord.from_json('{"user": 1, "h": 0, "t": 1, "bit": 2}')
     with pytest.raises(ValueError):
         ReportRecord.from_json('{"user": 1, "h": 0, "t": 1, "bit": 1, "x": 0}')
+    # json keeps the last of a repeated key, so a five-member object would pass as user 7
+    with pytest.raises(ValueError, match="repeats a key"):
+        ReportRecord.from_json('{"user": 1, "h": 0, "t": 1, "bit": 1, "user": 7}')
     # every field must be a JSON integer: no truncation, no coercion
     with pytest.raises(ValueError):
         ReportRecord.from_json('{"user": 1.7, "h": 0, "t": 1, "bit": 1}')
